@@ -5,7 +5,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: check vet staticcheck build test race bench bench-smoke bench-compare fuzz-smoke e2e-smoke e2e-crash
+.PHONY: check vet staticcheck build test race stress bench bench-smoke bench-compare fuzz-smoke e2e-smoke e2e-crash
 
 check: vet staticcheck build race
 
@@ -31,6 +31,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress reruns the concurrency-heavy packages under the race detector at
+# GOMAXPROCS 1, 2 and 4, so a scheduling-dependent bug (a gauge read
+# before it settles, a torn snapshot) fails the run instead of surfacing
+# as a rare flake on some other core count. STRESS_COUNT sets the
+# repetitions per GOMAXPROCS setting.
+STRESS_COUNT ?= 10
+stress:
+	$(GO) test -race -count=$(STRESS_COUNT) -cpu 1,2,4 ./internal/serve ./internal/telemetry ./internal/cluster ./internal/store
 
 # bench runs every benchmark and records the results as a dated JSON
 # artifact (see cmd/benchjson) so perf regressions are diffable across

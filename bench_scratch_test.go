@@ -1,6 +1,7 @@
 package spaceproc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,7 +26,7 @@ func BenchmarkProcessSeries(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			copy(ser, damaged)
-			a.ProcessSeries(ser)
+			a.ProcessSeries(ser, nil, nil)
 		}
 	})
 	b.Run("Scratch", func(b *testing.B) {
@@ -33,7 +34,7 @@ func BenchmarkProcessSeries(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			copy(ser, damaged)
-			a.ProcessSeriesScratch(ser, sc, nil)
+			a.ProcessSeries(ser, sc, nil)
 		}
 	})
 }
@@ -55,7 +56,7 @@ func BenchmarkProcessSeriesScalar(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		copy(ser, damaged)
-		a.ProcessSeriesScratch(ser, sc, nil)
+		a.ProcessSeries(ser, sc, nil)
 	}
 }
 
@@ -111,14 +112,11 @@ func BenchmarkPipelineRun(b *testing.B) {
 				}
 				workers[i] = w
 			}
-			master, err := spaceproc.NewMaster(workers, spaceproc.WithTileSize(32))
-			if err != nil {
-				b.Fatal(err)
-			}
+			pool := newPool(b, workers, spaceproc.WithPoolTileSize(32))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := master.Run(scene.Observed); err != nil {
+				if _, err := submitWait(context.Background(), pool, scene.Observed); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package spaceproc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,7 +53,7 @@ func BenchmarkFig2AlgoNGSTVsMedian(b *testing.B) {
 		b.Run(alg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(scratch, damaged)
-				alg.pre.ProcessSeries(scratch)
+				alg.pre.ProcessSeries(scratch, nil, nil)
 			}
 		})
 	}
@@ -71,7 +72,7 @@ func BenchmarkFig3OverheadVsSensitivity(b *testing.B) {
 		b.Run(fmt.Sprintf("Lambda%d", lambda), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(scratch, damaged)
-				a.ProcessSeries(scratch)
+				a.ProcessSeries(scratch, nil, nil)
 			}
 		})
 	}
@@ -99,7 +100,7 @@ func BenchmarkFig4CorrelatedFaults(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, damaged)
-		a.ProcessSeries(scratch)
+		a.ProcessSeries(scratch, nil, nil)
 	}
 }
 
@@ -120,7 +121,7 @@ func BenchmarkFig5GamutPoint(b *testing.B) {
 					b.Fatal(err)
 				}
 				spaceproc.Uncorrelated{Gamma0: 0.025}.InjectSeries(ser, spaceproc.NewRNGStream(5, uint64(i)))
-				a.ProcessSeries(ser)
+				a.ProcessSeries(ser, nil, nil)
 			}
 		})
 	}
@@ -139,7 +140,7 @@ func BenchmarkFig6Upsilon(b *testing.B) {
 		b.Run(fmt.Sprintf("Upsilon%d", upsilon), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(scratch, damaged)
-				a.ProcessSeries(scratch)
+				a.ProcessSeries(scratch, nil, nil)
 			}
 		})
 	}
@@ -230,13 +231,10 @@ func BenchmarkFig1Pipeline(b *testing.B) {
 		}
 		workers[i] = w
 	}
-	master, err := spaceproc.NewMaster(workers, spaceproc.WithTileSize(32))
-	if err != nil {
-		b.Fatal(err)
-	}
+	pool := newPool(b, workers, spaceproc.WithPoolTileSize(32))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := master.Run(scene.Observed); err != nil {
+		if _, err := submitWait(context.Background(), pool, scene.Observed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,14 +265,11 @@ func BenchmarkFig1PipelineTelemetry(b *testing.B) {
 		}
 		workers[i] = w
 	}
-	master, err := spaceproc.NewMaster(workers,
-		spaceproc.WithTileSize(32), spaceproc.WithTelemetry(reg))
-	if err != nil {
-		b.Fatal(err)
-	}
+	pool := newPool(b, workers,
+		spaceproc.WithPoolTileSize(32), spaceproc.WithPoolTelemetry(reg))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := master.Run(scene.Observed); err != nil {
+		if _, err := submitWait(context.Background(), pool, scene.Observed); err != nil {
 			b.Fatal(err)
 		}
 	}

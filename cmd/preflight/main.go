@@ -326,7 +326,7 @@ func cleanCmd(args []string, w io.Writer) error {
 	}
 	for y := 0; y < im.Height; y++ {
 		row := spaceproc.Series(im.Pix[y*im.Width : (y+1)*im.Width])
-		pre.ProcessSeries(row)
+		pre.ProcessSeries(row, nil, nil)
 	}
 	if err := os.WriteFile(*out, spaceproc.EncodeFITSImage(im), 0o644); err != nil {
 		return err

@@ -31,7 +31,7 @@
 //
 // The pipeline carries an optional, dependency-free telemetry layer
 // (internal/telemetry, re-exported here as TelemetryRegistry and friends).
-// Attach a registry to a Master with WithTelemetry to record per-tile
+// Attach a registry to a WorkerPool with WithPoolTelemetry to record per-tile
 // dispatch/process/retry/blit spans, per-worker latency histograms with
 // p50/p95/p99 summaries, and pipeline_* counters; AlgoNGST.Instrument and
 // AlgoOTIS.Instrument feed the preprocessing correction counters

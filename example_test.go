@@ -23,7 +23,7 @@ func ExampleAlgoNGST() {
 	if err != nil {
 		panic(err)
 	}
-	pre.ProcessSeries(damaged)
+	pre.ProcessSeries(damaged, nil, nil)
 	fmt.Printf("repaired: %v\n", damaged[20] == ideal[20])
 	// Output:
 	// repaired: true

@@ -59,7 +59,7 @@ func residual(gamma0 float64, lambda int, phase float64) float64 {
 		}
 		damaged := ideal.Clone()
 		spaceproc.Uncorrelated{Gamma0: gamma0}.InjectSeries(damaged, spaceproc.NewRNGStream(400, stream))
-		pre.ProcessSeries(damaged)
+		pre.ProcessSeries(damaged, nil, nil)
 		sum += spaceproc.SeriesError(damaged, ideal)
 	}
 	return sum / trials

@@ -46,7 +46,7 @@ func main() {
 			}
 			damaged := ideal.Clone()
 			spaceproc.Uncorrelated{Gamma0: gamma0}.InjectSeries(damaged, spaceproc.NewRNGStream(20, stream))
-			pre.ProcessSeriesStats(damaged, &stats)
+			pre.ProcessSeries(damaged, nil, &stats)
 			psiSum += spaceproc.SeriesError(damaged, ideal)
 		}
 

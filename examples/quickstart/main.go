@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pre.ProcessSeries(damaged)
+	pre.ProcessSeries(damaged, nil, nil)
 
 	after := spaceproc.SeriesError(damaged, ideal)
 	fmt.Printf("after %s: Psi = %.5f (gain %.1fx)\n", pre.Name(), after, spaceproc.Gain(before, after))

@@ -53,7 +53,7 @@ func residual(gamma0 float64, lambda int) float64 {
 		}
 		damaged := ideal.Clone()
 		spaceproc.Uncorrelated{Gamma0: gamma0}.InjectSeries(damaged, spaceproc.NewRNGStream(200, trial))
-		pre.ProcessSeries(damaged)
+		pre.ProcessSeries(damaged, nil, nil)
 		sum += spaceproc.SeriesError(damaged, ideal)
 	}
 	return sum / trials

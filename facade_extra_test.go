@@ -147,11 +147,8 @@ func TestRunContextThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := spaceproc.NewMaster([]spaceproc.Worker{w}, spaceproc.WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunContext(context.Background(), scene.Observed); err != nil {
+	m := newPool(t, []spaceproc.Worker{w}, spaceproc.WithPoolTileSize(32))
+	if _, err := submitWait(context.Background(), m, scene.Observed); err != nil {
 		t.Fatal(err)
 	}
 }

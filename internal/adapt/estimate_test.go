@@ -26,7 +26,7 @@ func telemetryFor(t *testing.T, gamma0 float64, trials int, seedBase uint64) cor
 			t.Fatal(err)
 		}
 		injector.InjectSeries(ser, rng.NewStream(seedBase, uint64(trial)*2+1))
-		a.ProcessSeriesStats(ser, &stats)
+		a.ProcessSeries(ser, nil, &stats)
 	}
 	return stats
 }
@@ -105,7 +105,7 @@ func TestOTISCubeStatsObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats core.CubeStats
-	a.ProcessCubeStats(damaged, &stats)
+	a.ProcessCubeScratch(damaged, nil, &stats)
 	if stats.BoundsRepairs == 0 {
 		t.Error("1% cube damage should trip bounds repairs (exponent flips)")
 	}

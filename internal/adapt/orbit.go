@@ -146,7 +146,7 @@ func Calibrate(cfg CalibrationConfig, seed uint64) (*Calibration, error) {
 				}
 				damaged := ideal.Clone()
 				injector.InjectSeries(damaged, faultSrc)
-				a.ProcessSeries(damaged)
+				a.ProcessSeries(damaged, nil, nil)
 				acc.Add(metrics.SeriesError(damaged, ideal))
 			}
 			if acc.Mean() < bestPsi {

@@ -167,7 +167,7 @@ func TestAdaptiveBeatsFixedAcrossOrbit(t *testing.T) {
 				}
 				damaged := ideal.Clone()
 				injector.InjectSeries(damaged, faultSrc)
-				a.ProcessSeries(damaged)
+				a.ProcessSeries(damaged, nil, nil)
 				acc.Add(metrics.SeriesError(damaged, ideal))
 			}
 		}

@@ -157,7 +157,7 @@ func (w *AdaptiveWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileR
 		if err != nil {
 			return TileResult{}, err
 		}
-		if err := processStackCtx(ctx, pre, t.Stack); err != nil {
+		if err := processRange(ctx, pre, t.Stack, 0, seriesCount, core.NewVoteScratch(), nil); err != nil {
 			return TileResult{}, err
 		}
 	}

@@ -99,11 +99,8 @@ func TestAdaptiveWorkerInPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster([]Worker{w}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
+	m := testPool(t, []Worker{w}, WithPoolTileSize(32))
+	res, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}

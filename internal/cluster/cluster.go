@@ -7,31 +7,27 @@
 //
 // Two transports are provided: an in-process pool (goroutines) and a
 // TCP/gob transport (see transport.go) standing in for the Myrinet
-// interconnect. Scheduling lives in the long-lived Pool (see pool.go):
+// interconnect. The master role is the long-lived Pool (see pool.go):
 // workers join and leave at runtime, a circuit breaker quarantines nodes
 // that keep failing, and a bounded shared queue pipelines many baselines
-// concurrently. Master remains as a thin per-baseline client of a Pool
-// for the classic one-baseline-at-a-time call sites.
+// concurrently.
 //
-// The pipeline is observable: pass WithTelemetry to NewMaster (or
-// WithPoolTelemetry to NewPool) and it records per-tile
-// dispatch/process/retry/blit spans, per-worker latency histograms keyed
-// by stable worker ID, scheduler health gauges and stage counters into
-// the registry (see internal/telemetry). Without a registry the
-// instrumentation compiles down to nil checks on the hot path.
+// The pipeline is observable: pass WithPoolTelemetry to NewPool and it
+// records per-tile dispatch/process/retry/blit spans, per-worker latency
+// histograms keyed by stable worker ID, scheduler health gauges and stage
+// counters into the registry (see internal/telemetry). Without a registry
+// the instrumentation compiles down to nil checks on the hot path.
 package cluster
 
 import (
 	"context"
 	"errors"
-	"log/slog"
 	"runtime"
 	"sync"
 
 	"spaceproc/internal/core"
 	"spaceproc/internal/crreject"
 	"spaceproc/internal/dataset"
-	"spaceproc/internal/telemetry"
 )
 
 // DefaultWorkers is the paper's 16-processor estimate.
@@ -51,17 +47,11 @@ type TileResult struct {
 	PreStats core.VoteStats
 }
 
-// statsPreprocessor is implemented by preprocessors that can report what
-// they corrected (AlgoNGST's ProcessSeriesStats).
-type statsPreprocessor interface {
-	ProcessSeriesStats(s dataset.Series, stats *core.VoteStats)
-}
-
 // Worker processes one tile.
 type Worker interface {
 	// ProcessTile preprocesses and integrates a tile. Implementations
 	// honor ctx cancellation and deadlines: the in-process workers poll
-	// ctx between row passes, and the TCP transport propagates the
+	// ctx between pixel chunks, and the TCP transport propagates the
 	// deadline to the remote node.
 	ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error)
 }
@@ -70,13 +60,11 @@ type Worker interface {
 // preprocessing over every coordinate's temporal series, then cosmic-ray
 // rejection and integration.
 //
-// Preprocessors that implement core.ScratchPreprocessor (AlgoNGST and the
-// generic baselines all do) run through pooled per-shard scratch buffers,
-// so the steady-state per-series path performs zero heap allocations; see
-// WithShards for the intra-worker range parallelism the pooling enables.
-// When the preprocessor also implements core.PlanePreprocessor and the
-// stack depth qualifies, each shard runs the plane-major stack kernel
-// over its pixel range instead of per-series scalar passes.
+// The preprocessor's ProcessRange runs through pooled per-shard scratch
+// buffers, so the steady-state path performs zero heap allocations and
+// takes whatever layout the preprocessor picks for the stack depth (the
+// plane-major kernel for AlgoNGST at qualifying depths); see WithShards
+// for the intra-worker range parallelism the pooling enables.
 type LocalWorker struct {
 	pre    core.SeriesPreprocessor // nil disables preprocessing
 	rej    *crreject.Rejector
@@ -126,8 +114,8 @@ func NewLocalWorker(pre core.SeriesPreprocessor, rejCfg crreject.Config, opts ..
 // Shards reports the worker's resolved intra-tile parallelism.
 func (w *LocalWorker) Shards() int { return w.shards }
 
-// ProcessTile implements Worker. Cancellation is polled between row
-// passes, so an abandoned tile stops within one row's work.
+// ProcessTile implements Worker. Cancellation is polled between chunks of
+// rangeChunk pixels, so an abandoned tile stops within one chunk's work.
 func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
 	if t.Stack == nil || t.Stack.Len() == 0 {
 		return TileResult{}, errors.New("cluster: empty tile")
@@ -136,27 +124,8 @@ func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResu
 		return TileResult{}, err
 	}
 	res := TileResult{Index: t.Index, X0: t.X0, Y0: t.Y0}
-	switch pre := w.pre.(type) {
-	case nil:
-	case core.ScratchPreprocessor:
-		if err := w.processSharded(ctx, pre, t.Stack, &res.PreStats); err != nil {
-			return TileResult{}, err
-		}
-	case statsPreprocessor:
-		width, height := t.Stack.Width(), t.Stack.Height()
-		var ser dataset.Series
-		for y := 0; y < height; y++ {
-			if err := ctx.Err(); err != nil {
-				return TileResult{}, err
-			}
-			for x := 0; x < width; x++ {
-				ser = t.Stack.SeriesAtBuf(x, y, ser)
-				pre.ProcessSeriesStats(ser, &res.PreStats)
-				t.Stack.SetSeriesAt(x, y, ser)
-			}
-		}
-	default:
-		if err := processStackCtx(ctx, w.pre, t.Stack); err != nil {
+	if w.pre != nil {
+		if err := w.processSharded(ctx, t.Stack, &res.PreStats); err != nil {
 			return TileResult{}, err
 		}
 	}
@@ -167,24 +136,19 @@ func (w *LocalWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResu
 	return res, nil
 }
 
-// processSharded runs the allocation-free preprocessing path over the
-// stack, splitting the flattened pixel index space across the worker's
-// shards on 64-pixel word boundaries, the gather granularity of the
-// plane-major kernels — so bit-sliced words never straddle a shard seam
-// and the sharded pass stays bit-identical to the sequential one. Each
-// shard checks a warm scratch out of the pool and accumulates into its
-// own VoteStats; the shard stats merge into agg in shard order when every
-// shard is done. Series at distinct coordinates are independent and
-// shards own disjoint pixel ranges, so no synchronization beyond the
-// final join is needed.
-func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPreprocessor, s *dataset.Stack, agg *core.VoteStats) error {
+// processSharded runs the preprocessing pass over the stack, splitting
+// the flattened pixel index space across the worker's shards on 64-pixel
+// word boundaries, the gather granularity of the plane-major kernels — so
+// bit-sliced words never straddle a shard seam and the sharded pass stays
+// bit-identical to the sequential one. Each shard checks a warm scratch
+// out of the pool and accumulates into its own VoteStats; the shard stats
+// merge into agg in shard order when every shard is done. Series at
+// distinct coordinates are independent and shards own disjoint pixel
+// ranges, so no synchronization beyond the final join is needed.
+func (w *LocalWorker) processSharded(ctx context.Context, s *dataset.Stack, agg *core.VoteStats) error {
 	npix := s.Width() * s.Height()
 	if npix == 0 {
 		return nil
-	}
-	pp, _ := pre.(core.PlanePreprocessor)
-	if pp != nil && !pp.PlaneCapable(s.Len()) {
-		pp = nil
 	}
 	words := (npix + 63) / 64
 	shards := w.shards
@@ -194,7 +158,7 @@ func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPrepro
 	if shards <= 1 {
 		sc := w.scratch.Get().(*core.VoteScratch)
 		defer w.scratch.Put(sc)
-		return w.processRange(ctx, pre, pp, s, 0, npix, sc, agg)
+		return processRange(ctx, w.pre, s, 0, npix, sc, agg)
 	}
 	wordsPer := (words + shards - 1) / shards
 	errs := make([]error, shards)
@@ -214,7 +178,7 @@ func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPrepro
 			defer wg.Done()
 			sc := w.scratch.Get().(*core.VoteScratch)
 			defer w.scratch.Put(sc)
-			errs[i] = w.processRange(ctx, pre, pp, s, p0, p1, sc, &stats[i])
+			errs[i] = processRange(ctx, w.pre, s, p0, p1, sc, &stats[i])
 		}(i, p0, p1)
 	}
 	wg.Wait()
@@ -230,58 +194,16 @@ func (w *LocalWorker) processSharded(ctx context.Context, pre core.ScratchPrepro
 // promptly without a ctx check on every pixel.
 const rangeChunk = 4096
 
-// processRange repairs the flattened coordinate range [p0, p1) of s,
-// through the plane-major stack kernel when pp is non-nil and through
-// per-series scratch passes otherwise. Both paths write only pixels
-// inside the range, so disjoint ranges run concurrently.
-func (w *LocalWorker) processRange(ctx context.Context, pre core.ScratchPreprocessor, pp core.PlanePreprocessor, s *dataset.Stack, p0, p1 int, sc *core.VoteScratch, stats *core.VoteStats) error {
-	width := s.Width()
-	var ser dataset.Series
+// processRange repairs the flattened coordinate range [p0, p1) of s with
+// pre.ProcessRange, one rangeChunk at a time between ctx polls. Every
+// chunk writes only pixels inside the range, so disjoint ranges run
+// concurrently.
+func processRange(ctx context.Context, pre core.SeriesPreprocessor, s *dataset.Stack, p0, p1 int, sc *core.VoteScratch, stats *core.VoteStats) error {
 	for q0 := p0; q0 < p1; q0 += rangeChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		q1 := q0 + rangeChunk
-		if q1 > p1 {
-			q1 = p1
-		}
-		if pp != nil {
-			pp.ProcessStackPlanes(s, q0, q1, sc, stats)
-			continue
-		}
-		for i := q0; i < q1; i++ {
-			x, y := i%width, i/width
-			ser = s.SeriesAtBuf(x, y, ser)
-			pre.ProcessSeriesScratch(ser, sc, stats)
-			s.SetSeriesAt(x, y, ser)
-		}
-	}
-	return nil
-}
-
-// processStackCtx is core.ProcessStackWith with per-row cancellation,
-// preferring the scratch path when the preprocessor supports it.
-func processStackCtx(ctx context.Context, p core.SeriesPreprocessor, s *dataset.Stack) error {
-	w, h := s.Width(), s.Height()
-	sp, _ := p.(core.ScratchPreprocessor)
-	var sc *core.VoteScratch
-	if sp != nil {
-		sc = core.NewVoteScratch()
-	}
-	var ser dataset.Series
-	for y := 0; y < h; y++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for x := 0; x < w; x++ {
-			ser = s.SeriesAtBuf(x, y, ser)
-			if sp != nil {
-				sp.ProcessSeriesScratch(ser, sc, nil)
-			} else {
-				p.ProcessSeries(ser)
-			}
-			s.SetSeriesAt(x, y, ser)
-		}
+		pre.ProcessRange(s, q0, min(q0+rangeChunk, p1), sc, stats)
 	}
 	return nil
 }
@@ -303,7 +225,7 @@ type Result struct {
 	// Err is set when the baseline failed (fragmentation error, joined
 	// permanent tile failures, cancellation, or pool shutdown); the other
 	// fields are zero. Pool.Submit delivers failed runs this way so one
-	// channel carries both outcomes; Master.RunContext unwraps it.
+	// channel carries both outcomes.
 	Err error
 }
 
@@ -313,15 +235,6 @@ func (r *Result) CompressionRatio() float64 {
 		return 1
 	}
 	return float64(2*len(r.Image.Pix)) / float64(len(r.Compressed))
-}
-
-// Master is the classic per-baseline front end, kept as a thin client of
-// a Pool it owns: NewMaster admits the workers into a private pool and
-// Run/RunContext submit one baseline and wait. New code that wants
-// concurrent baselines, membership churn or health-gated scheduling
-// should construct a Pool directly.
-type Master struct {
-	pool *Pool
 }
 
 // Span stages recorded by the pipeline; tests and dashboards key on these.
@@ -334,100 +247,6 @@ const (
 	StageCompress = "compress"
 	StageRun      = "run"
 )
-
-// masterConfig collects the MasterOption knobs before they translate into
-// PoolOptions.
-type masterConfig struct {
-	tileSize int
-	retries  int
-	tel      *telemetry.Registry
-	log      *slog.Logger
-}
-
-// MasterOption configures a Master.
-type MasterOption func(*masterConfig)
-
-// WithTileSize overrides the 128x128 fragment size.
-func WithTileSize(n int) MasterOption {
-	return func(c *masterConfig) { c.tileSize = n }
-}
-
-// WithRetries sets how many times a tile may be reassigned after worker
-// failures before the baseline is abandoned.
-func WithRetries(n int) MasterOption {
-	return func(c *masterConfig) { c.retries = n }
-}
-
-// WithTelemetry wires the pipeline's instrumentation into reg: per-tile
-// dispatch/process/retry/blit spans, per-worker process-latency histograms
-// keyed by stable worker ID (pipeline_worker_<id>_process), pipeline_*
-// counters, pool health gauges, and distributed trace events into the
-// registry's Tracer (every dispatch, process, retry and deadline expiry
-// becomes a TraceEvent parented under the run's trace).
-func WithTelemetry(reg *telemetry.Registry) MasterOption {
-	return func(c *masterConfig) { c.tel = reg }
-}
-
-// WithLogger routes the pipeline's fault forensics — WARN on every tile
-// retry, ERROR on permanent tile failure — into l, trace-stamped when l's
-// handler is telemetry-aware (see telemetry.NewLogHandler). Without it the
-// master stays silent, as before.
-func WithLogger(l *slog.Logger) MasterOption {
-	return func(c *masterConfig) { c.log = l }
-}
-
-// NewMaster builds a master over the given workers: a compatibility
-// constructor that admits the slice into a private Pool.
-func NewMaster(workers []Worker, opts ...MasterOption) (*Master, error) {
-	if len(workers) == 0 {
-		return nil, errors.New("cluster: no workers")
-	}
-	cfg := masterConfig{tileSize: dataset.TileSize, retries: 2}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	popts := []PoolOption{WithPoolTileSize(cfg.tileSize), WithPoolRetries(cfg.retries)}
-	if cfg.tel != nil {
-		popts = append(popts, WithPoolTelemetry(cfg.tel))
-	}
-	if cfg.log != nil {
-		popts = append(popts, WithPoolLogger(cfg.log))
-	}
-	pool, err := NewPool(popts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range workers {
-		pool.AddWorker(w)
-	}
-	return &Master{pool: pool}, nil
-}
-
-// Pool exposes the master's underlying pool, for callers that start from
-// the compatibility constructor and then want dynamic membership or
-// concurrent submissions.
-func (m *Master) Pool() *Pool { return m.pool }
-
-// Close shuts down the master's pool and its worker runners. Masters used
-// for a whole process lifetime (the common test and cmd pattern) may skip
-// it; the runners park idle.
-func (m *Master) Close() { m.pool.Close() }
-
-// Run executes the pipeline on one baseline stack.
-func (m *Master) Run(s *dataset.Stack) (*Result, error) {
-	return m.RunContext(context.Background(), s)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, in-flight
-// tiles finish but no new tiles are dispatched, and the context's error is
-// returned.
-func (m *Master) RunContext(ctx context.Context, s *dataset.Stack) (*Result, error) {
-	res := <-m.pool.Submit(ctx, s)
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	return res, nil
-}
 
 // blit copies a tile image into the frame.
 func blit(dst *dataset.Image, res TileResult) {

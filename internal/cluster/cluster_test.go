@@ -42,22 +42,51 @@ func localWorkers(t *testing.T, n int, pre core.SeriesPreprocessor) []Worker {
 	return workers
 }
 
-func TestMasterRequiresWorkers(t *testing.T) {
-	if _, err := NewMaster(nil); err == nil {
-		t.Fatal("no workers should error")
+// testPool admits workers into a fresh pool that closes with the test.
+func testPool(t *testing.T, workers []Worker, opts ...PoolOption) *Pool {
+	t.Helper()
+	p, err := NewPool(opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewMaster(localWorkers(t, 1, nil), WithTileSize(0)); err == nil {
+	t.Cleanup(p.Close)
+	for _, w := range workers {
+		p.AddWorker(w)
+	}
+	return p
+}
+
+// submitWait submits one baseline to p and waits for its result.
+func submitWait(ctx context.Context, p *Pool, s *dataset.Stack) (*Result, error) {
+	res := <-p.Submit(ctx, s)
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	return res, nil
+}
+
+// TestMasterRequiresWorkers checks the pool's construction guards, and
+// that a baseline submitted while no worker has joined is failed when the
+// pool closes rather than left waiting.
+func TestMasterRequiresWorkers(t *testing.T) {
+	if _, err := NewPool(WithPoolTileSize(0)); err == nil {
 		t.Fatal("zero tile size should error")
+	}
+	if _, err := NewPool(WithPoolRetries(-1)); err == nil {
+		t.Fatal("negative retry budget should error")
+	}
+	p := testPool(t, nil, WithPoolTileSize(32))
+	out := p.Submit(context.Background(), testScene(t, 4).Observed)
+	p.Close()
+	if res := <-out; !errors.Is(res.Err, errPoolClosed) {
+		t.Fatalf("err = %v, want errPoolClosed", res.Err)
 	}
 }
 
 func TestPipelineMatchesSerialIntegration(t *testing.T) {
 	sc := testScene(t, 1)
-	m, err := NewMaster(localWorkers(t, 4, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Run(sc.Observed)
+	m := testPool(t, localWorkers(t, 4, nil), WithPoolTileSize(32))
+	got, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +108,8 @@ func TestPipelineMatchesSerialIntegration(t *testing.T) {
 
 func TestPipelineCompressedPayloadDecodes(t *testing.T) {
 	sc := testScene(t, 2)
-	m, err := NewMaster(localWorkers(t, 3, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
+	m := testPool(t, localWorkers(t, 3, nil), WithPoolTileSize(32))
+	res, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +136,13 @@ func TestPipelineWithPreprocessingBeatsWithout(t *testing.T) {
 	// (fault injection on the stack in memory, before processing)
 	injectStack(t, faulty, 0.02, 4)
 
-	mClean, err := NewMaster(localWorkers(t, 4, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idealRes, err := mClean.Run(sc.Observed)
+	mClean := testPool(t, localWorkers(t, 4, nil), WithPoolTileSize(32))
+	idealRes, err := submitWait(context.Background(), mClean, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	noPre, err := mClean.Run(faulty)
+	noPre, err := submitWait(context.Background(), mClean, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +151,8 @@ func TestPipelineWithPreprocessingBeatsWithout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mPre, err := NewMaster(localWorkers(t, 4, pre), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withPre, err := mPre.Run(faulty.Clone())
+	mPre := testPool(t, localWorkers(t, 4, pre), WithPoolTileSize(32))
+	withPre, err := submitWait(context.Background(), mPre, faulty.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +190,8 @@ func TestPipelineCollectsPreprocessingTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster(localWorkers(t, 3, pre), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(faulty)
+	m := testPool(t, localWorkers(t, 3, pre), WithPoolTileSize(32))
+	res, err := submitWait(context.Background(), m, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +202,8 @@ func TestPipelineCollectsPreprocessingTelemetry(t *testing.T) {
 		t.Fatal("no corrections recorded at 1% damage")
 	}
 	// Without preprocessing there is no telemetry.
-	m2, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := m2.Run(faulty.Clone())
+	m2 := testPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32))
+	res2, err := submitWait(context.Background(), m2, faulty.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +219,8 @@ func TestMasterReassignsAfterWorkerFailure(t *testing.T) {
 	// must be re-queued and eventually succeed on the same worker, so
 	// the retry count is deterministic regardless of scheduling.
 	flaky := &flakyWorker{inner: good[0], failures: 2}
-	m, err := NewMaster([]Worker{flaky}, WithTileSize(32), WithRetries(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
+	m := testPool(t, []Worker{flaky}, WithPoolTileSize(32), WithPoolRetries(3))
+	res, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +242,8 @@ func TestMasterReassignsAfterWorkerFailure(t *testing.T) {
 func TestMasterFailsWhenRetriesExhausted(t *testing.T) {
 	sc := testScene(t, 6)
 	alwaysBad := &flakyWorker{inner: nil, failures: 1 << 30}
-	m, err := NewMaster([]Worker{alwaysBad}, WithTileSize(32), WithRetries(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err == nil {
+	m := testPool(t, []Worker{alwaysBad}, WithPoolTileSize(32), WithPoolRetries(1))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err == nil {
 		t.Fatal("pipeline should fail when all workers keep failing")
 	}
 }
@@ -257,14 +265,11 @@ func TestRunContextCancellation(t *testing.T) {
 	sc := testScene(t, 10)
 	inner := localWorkers(t, 1, nil)[0]
 	sw := &slowWorker{inner: inner, started: make(chan struct{}, 8), release: make(chan struct{})}
-	m, err := NewMaster([]Worker{sw}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testPool(t, []Worker{sw}, WithPoolTileSize(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := m.RunContext(ctx, sc.Observed)
+		_, err := submitWait(ctx, m, sc.Observed)
 		errCh <- err
 	}()
 	<-sw.started // first tile in flight
@@ -282,11 +287,8 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestRunContextCompletesWhenNotCancelled(t *testing.T) {
 	sc := testScene(t, 10)
-	m, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.RunContext(context.Background(), sc.Observed)
+	m := testPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32))
+	res, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil || res.Image == nil {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -321,11 +323,8 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	defer remote.Close()
 
 	sc := testScene(t, 7)
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
+	m := testPool(t, []Worker{remote}, WithPoolTileSize(32))
+	res, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,8 @@ func (w *switchWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 func TestPoolQuarantinesAndReadmitsFailingWorker(t *testing.T) {
 	sc := testScene(t, 41)
 
-	ref, err := NewMaster(localWorkers(t, 3, nil), WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Run(sc.Observed)
+	ref := testPool(t, localWorkers(t, 3, nil), WithPoolTileSize(32))
+	want, err := submitWait(context.Background(), ref, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}

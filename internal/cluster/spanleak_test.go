@@ -32,11 +32,8 @@ func TestRunSpansEndOnFragmentError(t *testing.T) {
 	sc := testScene(t, 31)
 	reg := telemetry.NewRegistry()
 	// 64x64 does not divide by 5 tiles -> Fragment fails.
-	m, err := NewMaster(localWorkers(t, 1, nil), WithTileSize(5), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); !errors.Is(err, dataset.ErrBadGeometry) {
+	m := testPool(t, localWorkers(t, 1, nil), WithPoolTileSize(5), WithPoolTelemetry(reg))
+	if _, err := submitWait(context.Background(), m, sc.Observed); !errors.Is(err, dataset.ErrBadGeometry) {
 		t.Fatalf("want ErrBadGeometry, got %v", err)
 	}
 
@@ -70,13 +67,10 @@ func TestRunSpansEndOnFragmentError(t *testing.T) {
 func TestRunSpansEndOnCancelledRun(t *testing.T) {
 	sc := testScene(t, 32)
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32), WithPoolTelemetry(reg))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: no tile is ever dispatched
-	if _, err := m.RunContext(ctx, sc.Observed); !errors.Is(err, context.Canceled) {
+	if _, err := submitWait(ctx, m, sc.Observed); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
@@ -194,7 +188,7 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 	}
 	cases := []struct {
 		name          string
-		scalar, plane core.ScratchPreprocessor
+		scalar, plane core.SeriesPreprocessor
 	}{
 		{"ngst", ngstScalar, ngstPlane},
 		{"median3", core.Median3{}, core.Median3{}},
@@ -211,7 +205,7 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 			}
 			got := scene.Observed.Clone()
 			var gotStats core.VoteStats
-			if err := w.processSharded(context.Background(), tc.plane, got, &gotStats); err != nil {
+			if err := w.processSharded(context.Background(), got, &gotStats); err != nil {
 				t.Fatal(err)
 			}
 			want := scene.Observed.Clone()
@@ -220,7 +214,7 @@ func TestLocalWorkerPlaneShardsMatchScalar(t *testing.T) {
 			for y := 0; y < want.Height(); y++ {
 				for x := 0; x < want.Width(); x++ {
 					ser = want.SeriesAtBuf(x, y, ser)
-					tc.scalar.ProcessSeriesScratch(ser, nil, &wantStats)
+					tc.scalar.ProcessSeries(ser, nil, &wantStats)
 					want.SetSeriesAt(x, y, ser)
 				}
 			}

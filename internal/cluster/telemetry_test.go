@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -15,11 +16,8 @@ import (
 func TestMasterTelemetryCountsTiles(t *testing.T) {
 	sc := testScene(t, 21)
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster(localWorkers(t, 2, nil), WithTileSize(32), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
+	m := testPool(t, localWorkers(t, 2, nil), WithPoolTileSize(32), WithPoolTelemetry(reg))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,11 +61,8 @@ func TestMasterTelemetryRetries(t *testing.T) {
 	}
 	flaky := &flakyWorker{inner: good, failures: 2}
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster([]Worker{flaky}, WithTileSize(32), WithRetries(3), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(sc.Observed)
+	m := testPool(t, []Worker{flaky}, WithPoolTileSize(32), WithPoolRetries(3), WithPoolTelemetry(reg))
+	res, err := submitWait(context.Background(), m, sc.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +88,8 @@ func TestMasterTelemetryFailures(t *testing.T) {
 	sc := testScene(t, 23)
 	alwaysBad := &flakyWorker{inner: nil, failures: 1 << 30}
 	reg := telemetry.NewRegistry()
-	m, err := NewMaster([]Worker{alwaysBad}, WithTileSize(32), WithRetries(1), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err == nil {
+	m := testPool(t, []Worker{alwaysBad}, WithPoolTileSize(32), WithPoolRetries(1), WithPoolTelemetry(reg))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err == nil {
 		t.Fatal("run should fail when every tile exhausts its retries")
 	}
 	snap := reg.Snapshot()
@@ -111,11 +103,8 @@ func TestMasterTelemetryFailures(t *testing.T) {
 func TestRunReportsEveryFailure(t *testing.T) {
 	sc := testScene(t, 25)
 	alwaysBad := &flakyWorker{inner: nil, failures: 1 << 30}
-	m, err := NewMaster([]Worker{alwaysBad}, WithTileSize(32), WithRetries(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run(sc.Observed)
+	m := testPool(t, []Worker{alwaysBad}, WithPoolTileSize(32), WithPoolRetries(1))
+	_, err := submitWait(context.Background(), m, sc.Observed)
 	if err == nil {
 		t.Fatal("run should fail")
 	}
@@ -148,11 +137,8 @@ func TestServerSidecarServesObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Close()
-	m, err := NewMaster([]Worker{rw}, WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
+	m := testPool(t, []Worker{rw}, WithPoolTileSize(32))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"spaceproc/internal/crreject"
@@ -61,11 +62,8 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}
 	defer remote.Close()
 
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32), WithTelemetry(masterReg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
+	m := testPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolTelemetry(masterReg))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,11 +134,8 @@ func TestTraceRetryChildSpans(t *testing.T) {
 	}
 	defer remote.Close()
 
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32), WithRetries(3), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
+	m := testPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolRetries(3), WithPoolTelemetry(reg))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,11 +216,8 @@ func TestTraceSharedRegistryDedup(t *testing.T) {
 	}
 	defer remote.Close()
 
-	m, err := NewMaster([]Worker{remote}, WithTileSize(32), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(sc.Observed); err != nil {
+	m := testPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolTelemetry(reg))
+	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,13 +9,27 @@ import (
 	"spaceproc/internal/telemetry"
 )
 
-// SeriesPreprocessor repairs suspected bit flips in a temporal pixel series
-// in place.
+// SeriesPreprocessor repairs suspected bit flips in temporal pixel series
+// in place: one series at a time, or every coordinate of a flattened pixel
+// range of a stack. AlgoNGST, Median3 and MajorityBit3 implement it.
+//
+// Both methods take optional caller-owned scratch and stats. sc may be nil
+// (a fresh scratch is used, reintroducing the allocations); a warm scratch
+// makes the steady-state pass allocation-free. stats, when non-nil,
+// accumulates the pass's counters (the generic baselines collect none).
 type SeriesPreprocessor interface {
 	// Name identifies the algorithm in reports and experiment tables.
 	Name() string
 	// ProcessSeries repairs s in place.
-	ProcessSeries(s dataset.Series)
+	ProcessSeries(s dataset.Series, sc *VoteScratch, stats *VoteStats)
+	// ProcessRange repairs the series of every coordinate in the
+	// flattened range [p0, p1) of s in place, bit-identical to
+	// ProcessSeries at each coordinate, for stacks of any depth. Each
+	// implementation picks its fastest layout for the depth (AlgoNGST's
+	// plane-major kernel, the baselines' frame-major sweeps). It reads and
+	// writes only pixels inside the range, so disjoint ranges may be
+	// processed concurrently on a shared stack.
+	ProcessRange(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats)
 }
 
 // NGSTConfig parameterizes AlgoNGST.
@@ -117,7 +131,7 @@ func (c *voteCounters) add(s VoteStats) {
 	c.windowCBit.Set(float64(s.WindowCBit))
 }
 
-var _ ScratchPreprocessor = (*AlgoNGST)(nil)
+var _ SeriesPreprocessor = (*AlgoNGST)(nil)
 
 // NewAlgoNGST validates cfg and returns the algorithm.
 func NewAlgoNGST(cfg NGSTConfig) (*AlgoNGST, error) {
@@ -158,28 +172,13 @@ func (a *AlgoNGST) Forensics(l *slog.Logger) { a.log = l }
 
 // ProcessSeries implements SeriesPreprocessor: it identifies temporally
 // non-conforming bits by Upsilon-way XOR voting with dynamic per-way
-// thresholds and repairs them in place.
-func (a *AlgoNGST) ProcessSeries(s dataset.Series) {
-	a.ProcessSeriesStats(s, nil)
-}
-
-// ProcessSeriesStats is ProcessSeries with observability: when stats is
-// non-nil, the pass accumulates correction counters into it. The caller
-// owns stats, so a single AlgoNGST value stays safe for concurrent use by
-// workers that each pass their own collector. It allocates a fresh
-// scratch per call; hot loops should hold a VoteScratch and call
-// ProcessSeriesScratch instead.
-func (a *AlgoNGST) ProcessSeriesStats(s dataset.Series, stats *VoteStats) {
-	a.ProcessSeriesScratch(s, nil, stats)
-}
-
-// ProcessSeriesScratch implements ScratchPreprocessor: the voter pass
-// against caller-owned scratch. With a warm scratch the steady-state pass
-// performs zero heap allocations (enforced by TestProcessSeriesScratchZeroAlloc);
-// the forensics logger is the one exception, allocating its WARN record
-// for each repaired series. sc may be nil (a fresh scratch is used);
-// stats, when non-nil, accumulates the pass's counters.
-func (a *AlgoNGST) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats *VoteStats) {
+// thresholds and repairs them in place. With a warm scratch the
+// steady-state pass performs zero heap allocations (enforced by the
+// zero-alloc tests in scratch_test.go); the forensics logger is the one
+// exception, allocating its WARN record for each repaired series. The
+// caller owns stats, so a single AlgoNGST value stays safe for concurrent
+// use by workers that each pass their own scratch and collector.
+func (a *AlgoNGST) ProcessSeries(s dataset.Series, sc *VoteScratch, stats *VoteStats) {
 	if a.cfg.Sensitivity == 0 {
 		return
 	}
@@ -222,39 +221,8 @@ func (a *AlgoNGST) logSeriesCorrected(local VoteStats) {
 		slog.Int("guard_rejected", local.GuardRejected))
 }
 
-// ProcessStack applies the algorithm to the temporal series of every
-// coordinate of a baseline stack in place.
-func (a *AlgoNGST) ProcessStack(s *dataset.Stack) {
-	ProcessStackWith(a, s)
-}
-
-// ProcessStackWith runs any series preprocessor over every coordinate of a
-// stack in place. When p implements PlanePreprocessor and the stack
-// geometry permits, the whole stack runs through the plane-major path;
-// when p implements ScratchPreprocessor, the stack is processed through
-// one reused scratch and series buffer, so the pass allocates O(1)
-// instead of O(width*height).
+// ProcessStackWith runs a series preprocessor over every coordinate of a
+// stack in place: one ProcessRange call over the whole frame.
 func ProcessStackWith(p SeriesPreprocessor, s *dataset.Stack) {
-	w, h := s.Width(), s.Height()
-	if pp, ok := p.(PlanePreprocessor); ok && pp.PlaneCapable(s.Len()) {
-		pp.ProcessStackPlanes(s, 0, w*h, new(VoteScratch), nil)
-		return
-	}
-	sp, _ := p.(ScratchPreprocessor)
-	var sc *VoteScratch
-	if sp != nil {
-		sc = new(VoteScratch)
-	}
-	var ser dataset.Series
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			ser = s.SeriesAtBuf(x, y, ser)
-			if sp != nil {
-				sp.ProcessSeriesScratch(ser, sc, nil)
-			} else {
-				p.ProcessSeries(ser)
-			}
-			s.SetSeriesAt(x, y, ser)
-		}
-	}
+	p.ProcessRange(s, 0, s.Width()*s.Height(), nil, nil)
 }

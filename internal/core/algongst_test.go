@@ -54,7 +54,7 @@ func TestAlgoNGSTZeroSensitivityIsNoOp(t *testing.T) {
 	}
 	s := dataset.Series{1, 60000, 3, 4, 5, 6, 7, 8}
 	want := s.Clone()
-	a.ProcessSeries(s)
+	a.ProcessSeries(s, nil, nil)
 	for i := range s {
 		if s[i] != want[i] {
 			t.Fatalf("lambda=0 modified the series at %d", i)
@@ -86,7 +86,7 @@ func TestAlgoNGSTReducesInjectedError(t *testing.T) {
 		damaged := ideal.Clone()
 		injector.InjectSeries(damaged, rng.NewStream(42, trial))
 		before.Add(metrics.SeriesError(damaged, ideal))
-		a.ProcessSeries(damaged)
+		a.ProcessSeries(damaged, nil, nil)
 		after.Add(metrics.SeriesError(damaged, ideal))
 	}
 	if gain := metrics.Gain(before.Mean(), after.Mean()); gain < 10 {
@@ -105,8 +105,8 @@ func TestAlgoNGSTDeterministic(t *testing.T) {
 	fault.Uncorrelated{Gamma0: 0.05}.InjectSeries(damaged, rng.New(8))
 	s1 := damaged.Clone()
 	s2 := damaged.Clone()
-	a.ProcessSeries(s1)
-	a.ProcessSeries(s2)
+	a.ProcessSeries(s1, nil, nil)
+	a.ProcessSeries(s2, nil, nil)
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatalf("non-deterministic output at %d", i)
@@ -125,7 +125,7 @@ func TestAlgoNGSTLowFalseAlarmsOnCleanData(t *testing.T) {
 	for trial := uint64(0); trial < 50; trial++ {
 		ideal := gaussianSeries(t, 250, 2000+trial)
 		got := ideal.Clone()
-		a.ProcessSeries(got)
+		a.ProcessSeries(got, nil, nil)
 		psi.Add(metrics.SeriesError(got, ideal))
 	}
 	if psi.Mean() > 0.002 {
@@ -147,11 +147,11 @@ func TestAlgoNGSTBeatsMedianSmoothing(t *testing.T) {
 		injector.InjectSeries(damaged, rng.NewStream(99, trial))
 
 		forNGST := damaged.Clone()
-		a.ProcessSeries(forNGST)
+		a.ProcessSeries(forNGST, nil, nil)
 		ngst.Add(metrics.SeriesError(forNGST, ideal))
 
 		forMed := damaged.Clone()
-		Median3{}.ProcessSeries(forMed)
+		Median3{}.ProcessSeries(forMed, nil, nil)
 		median.Add(metrics.SeriesError(forMed, ideal))
 	}
 	if ngst.Mean() >= median.Mean() {
@@ -173,7 +173,7 @@ func TestProcessStackWithAppliesPerCoordinate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ProcessStack(st)
+	ProcessStackWith(a, st)
 	if got, want := st.Frames[7].At(3, 4), ideal.Frames[7].At(3, 4); got != want {
 		t.Fatalf("stack flip not repaired: %d != %d", got, want)
 	}

@@ -206,22 +206,17 @@ type CubeScratch struct {
 // package.
 func NewCubeScratch() *CubeScratch { return new(CubeScratch) }
 
-// ProcessCube implements CubePreprocessor.
+// ProcessCube implements CubePreprocessor. It allocates a fresh scratch
+// per cube (reused across the cube's bands); repeated passes should hold
+// a CubeScratch and call ProcessCubeScratch.
 func (a *AlgoOTIS) ProcessCube(c *dataset.Cube) {
-	a.ProcessCubeStats(c, nil)
+	a.ProcessCubeScratch(c, nil, nil)
 }
 
-// ProcessCubeStats is ProcessCube with observability; stats may be nil.
-// The caller owns stats, keeping the algorithm value safe for concurrent
-// use. It allocates a fresh scratch per cube (reused across the cube's
-// bands); repeated passes should hold a CubeScratch and call
-// ProcessCubeScratch.
-func (a *AlgoOTIS) ProcessCubeStats(c *dataset.Cube, stats *CubeStats) {
-	a.ProcessCubeScratch(c, nil, stats)
-}
-
-// ProcessCubeScratch is ProcessCubeStats against caller-owned scratch.
-// sc may be nil (a fresh scratch is used).
+// ProcessCubeScratch is ProcessCube against caller-owned scratch, with
+// observability. sc may be nil (a fresh scratch is used); stats, when
+// non-nil, accumulates the pass's counters. The caller owns stats,
+// keeping the algorithm value safe for concurrent use.
 func (a *AlgoOTIS) ProcessCubeScratch(c *dataset.Cube, sc *CubeScratch, stats *CubeStats) {
 	if sc == nil {
 		sc = new(CubeScratch)

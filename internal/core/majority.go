@@ -18,23 +18,16 @@ import (
 // the pseudocode does not do).
 type MajorityBit3 struct{}
 
-var _ ScratchPreprocessor = MajorityBit3{}
+var _ SeriesPreprocessor = MajorityBit3{}
 
 // Name implements SeriesPreprocessor.
 func (MajorityBit3) Name() string { return "MajorityBitVote3" }
 
-// ProcessSeries implements SeriesPreprocessor. It snapshots the series
-// into a fresh buffer; hot loops should hold a VoteScratch and call
-// ProcessSeriesScratch, which reuses the snapshot buffer across series.
-func (m MajorityBit3) ProcessSeries(s dataset.Series) {
-	m.ProcessSeriesScratch(s, nil, nil)
-}
-
-// ProcessSeriesScratch implements ScratchPreprocessor: the vote-against-
-// original snapshot lives in the scratch, so a warm scratch makes the
-// pass allocation-free. stats is ignored (the generic baselines do not
-// collect correction telemetry).
-func (MajorityBit3) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, _ *VoteStats) {
+// ProcessSeries implements SeriesPreprocessor: the vote-against-original
+// snapshot lives in the scratch, so a warm scratch makes the pass
+// allocation-free. stats is ignored (the generic baselines do not collect
+// correction telemetry).
+func (MajorityBit3) ProcessSeries(s dataset.Series, sc *VoteScratch, _ *VoteStats) {
 	n := len(s)
 	if n < 3 {
 		return
@@ -61,6 +54,3 @@ func (MajorityBit3) ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, _ *V
 		s[i] = bitutil.MajorityVote3(at(i-1), at(i), at(i+1))
 	}
 }
-
-// ProcessStack applies the filter to every coordinate's series in place.
-func (m MajorityBit3) ProcessStack(s *dataset.Stack) { ProcessStackWith(m, s) }

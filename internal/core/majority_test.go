@@ -12,7 +12,7 @@ import (
 func TestMajorityBit3RepairsSingleFlip(t *testing.T) {
 	s := dataset.Series{1000, 1000, 1000, 1000, 1000}
 	s[2] ^= 1 << 12
-	MajorityBit3{}.ProcessSeries(s)
+	MajorityBit3{}.ProcessSeries(s, nil, nil)
 	for i, v := range s {
 		if v != 1000 {
 			t.Fatalf("flip survived at %d: %v", i, s)
@@ -26,7 +26,7 @@ func TestMajorityBit3SalvagesUncorruptedBits(t *testing.T) {
 	// whole word. Value 0x2AAA among neighbors 0x2AAB and 0x2AA8: every
 	// bit is voted independently.
 	s := dataset.Series{0x2AAB, 0x2AAA ^ 0x4000, 0x2AA8}
-	MajorityBit3{}.ProcessSeries(s)
+	MajorityBit3{}.ProcessSeries(s, nil, nil)
 	if s[1]&0x4000 != 0 {
 		t.Fatalf("flipped bit 14 not repaired: %#x", s[1])
 	}
@@ -43,7 +43,7 @@ func TestMajorityBit3VotesFromOriginalValues(t *testing.T) {
 	// the two: with original-value voting, s[2] = maj(s1,s2,s3).
 	s := dataset.Series{0x00FF, 0x0F0F, 0x00FF, 0x0F0F, 0x00FF}
 	orig := s.Clone()
-	MajorityBit3{}.ProcessSeries(s)
+	MajorityBit3{}.ProcessSeries(s, nil, nil)
 	want2 := (orig[1] & orig[2]) | (orig[2] & orig[3]) | (orig[1] & orig[3])
 	if s[2] != want2 {
 		t.Fatalf("s[2] = %#x, want %#x (voted from originals)", s[2], want2)
@@ -54,7 +54,7 @@ func TestMajorityBit3Boundaries(t *testing.T) {
 	// P(0) = P(3), P(N+1) = P(N-2) (1-indexed reflection per the paper).
 	s := dataset.Series{0xF000, 0x0F00, 0x00F0, 0x000F}
 	orig := s.Clone()
-	MajorityBit3{}.ProcessSeries(s)
+	MajorityBit3{}.ProcessSeries(s, nil, nil)
 	first := (orig[2] & orig[0]) | (orig[0] & orig[1]) | (orig[2] & orig[1])
 	if s[0] != first {
 		t.Fatalf("s[0] = %#x, want %#x", s[0], first)
@@ -67,7 +67,7 @@ func TestMajorityBit3Boundaries(t *testing.T) {
 
 func TestMajorityBit3ShortSeries(t *testing.T) {
 	s := dataset.Series{42, 17}
-	MajorityBit3{}.ProcessSeries(s)
+	MajorityBit3{}.ProcessSeries(s, nil, nil)
 	if s[0] != 42 || s[1] != 17 {
 		t.Fatal("short series must be untouched")
 	}
@@ -94,11 +94,11 @@ func TestMajorityAndMedianBothReduceError(t *testing.T) {
 		raw.Add(metrics.SeriesError(damaged, ideal))
 
 		a := damaged.Clone()
-		MajorityBit3{}.ProcessSeries(a)
+		MajorityBit3{}.ProcessSeries(a, nil, nil)
 		maj.Add(metrics.SeriesError(a, ideal))
 
 		b := damaged.Clone()
-		Median3{}.ProcessSeries(b)
+		Median3{}.ProcessSeries(b, nil, nil)
 		med.Add(metrics.SeriesError(b, ideal))
 	}
 	if maj.Mean() >= raw.Mean()/5 {

@@ -13,21 +13,14 @@ import (
 // already-smoothed P(i-1), the current P(i), and the raw P(i+1).
 type Median3 struct{}
 
-var _ ScratchPreprocessor = Median3{}
+var _ SeriesPreprocessor = Median3{}
 
 // Name implements SeriesPreprocessor.
 func (Median3) Name() string { return "MedianSmooth3" }
 
-// ProcessSeriesScratch implements ScratchPreprocessor. The in-place
-// sliding window needs no buffers, so the scratch and stats are unused;
-// the method exists so the cluster workers can treat all three series
-// algorithms uniformly through the allocation-free path.
-func (m Median3) ProcessSeriesScratch(s dataset.Series, _ *VoteScratch, _ *VoteStats) {
-	m.ProcessSeries(s)
-}
-
-// ProcessSeries implements SeriesPreprocessor.
-func (Median3) ProcessSeries(s dataset.Series) {
+// ProcessSeries implements SeriesPreprocessor. The in-place sliding
+// window needs no buffers, so the scratch and stats are unused.
+func (Median3) ProcessSeries(s dataset.Series, _ *VoteScratch, _ *VoteStats) {
 	n := len(s)
 	if n < 3 {
 		return
@@ -38,9 +31,6 @@ func (Median3) ProcessSeries(s dataset.Series) {
 	}
 	s[n-1] = median3u16(s[n-3], s[n-2], s[n-1])
 }
-
-// ProcessStack applies the filter to every coordinate's series in place.
-func (m Median3) ProcessStack(s *dataset.Stack) { ProcessStackWith(m, s) }
 
 func median3u16(a, b, c uint16) uint16 {
 	if a > b {

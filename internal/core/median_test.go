@@ -9,7 +9,7 @@ import (
 
 func TestMedian3RemovesSpike(t *testing.T) {
 	s := dataset.Series{100, 100, 60000, 100, 100}
-	Median3{}.ProcessSeries(s)
+	Median3{}.ProcessSeries(s, nil, nil)
 	for i, v := range s {
 		if v != 100 {
 			t.Fatalf("spike survived at %d: %v", i, s)
@@ -19,7 +19,7 @@ func TestMedian3RemovesSpike(t *testing.T) {
 
 func TestMedian3PreservesConstant(t *testing.T) {
 	s := dataset.Series{7, 7, 7, 7, 7, 7}
-	Median3{}.ProcessSeries(s)
+	Median3{}.ProcessSeries(s, nil, nil)
 	for _, v := range s {
 		if v != 7 {
 			t.Fatalf("constant series altered: %v", s)
@@ -32,7 +32,7 @@ func TestMedian3PreservesMonotoneInterior(t *testing.T) {
 	// pseudocode's endpoint windows {P1,P2,P3} and {P(N-2),P(N-1),P(N)}
 	// pull the two endpoints inward.
 	s := dataset.Series{10, 20, 30, 40, 50, 60}
-	Median3{}.ProcessSeries(s)
+	Median3{}.ProcessSeries(s, nil, nil)
 	want := dataset.Series{20, 20, 30, 40, 50, 50}
 	for i := range s {
 		if s[i] != want[i] {
@@ -44,7 +44,7 @@ func TestMedian3PreservesMonotoneInterior(t *testing.T) {
 func TestMedian3ShortSeries(t *testing.T) {
 	for _, s := range []dataset.Series{{}, {5}, {5, 9}} {
 		want := s.Clone()
-		Median3{}.ProcessSeries(s)
+		Median3{}.ProcessSeries(s, nil, nil)
 		for i := range s {
 			if s[i] != want[i] {
 				t.Fatalf("short series altered: %v", s)
@@ -57,7 +57,7 @@ func TestMedian3MatchesPaperPseudocodeSequence(t *testing.T) {
 	// Algorithm 2 is sequential and in place: P(2) sees the already
 	// smoothed P(1).
 	s := dataset.Series{50, 10, 40, 10, 50}
-	Median3{}.ProcessSeries(s)
+	Median3{}.ProcessSeries(s, nil, nil)
 	// P(1) = med(50,10,40) = 40
 	// P(2) = med(40,10,40) = 40
 	// P(3) = med(40,40,10) = 40

@@ -14,23 +14,6 @@ import (
 // The scalar pass in engine.go is the oracle; the differential tests and
 // fuzz targets in planes_test.go assert the two are bit-identical.
 
-// PlanePreprocessor is implemented by preprocessors that can run a
-// plane-major pass over a flattened pixel range of a stack. The cluster
-// workers and ProcessStackWith prefer this path when the stack geometry
-// permits (PlaneCapable) and fall back to the scalar per-series loop
-// otherwise.
-type PlanePreprocessor interface {
-	ScratchPreprocessor
-	// PlaneCapable reports whether the plane-major path handles stacks of
-	// the given depth (readout count).
-	PlaneCapable(depth int) bool
-	// ProcessStackPlanes repairs the flattened coordinate range [p0, p1)
-	// of s in place. It reads and writes only pixels inside the range, so
-	// disjoint ranges may be processed concurrently on a shared stack. sc
-	// may be nil; stats, when non-nil, accumulates the pass's counters.
-	ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats)
-}
-
 // grow64 is growU32 for uint64 plane buffers.
 func grow64(buf []uint64, n int) []uint64 {
 	if cap(buf) < n {
@@ -286,22 +269,25 @@ func correctTemporalAuto(sc *VoteScratch, vals []uint32, upsilon, lambda, width 
 	return correctTemporalScratch(sc, vals, upsilon, lambda, width, opt)
 }
 
-// PlaneCapable implements PlanePreprocessor: the plane path serves any
-// depth the 64-lane transpose holds and the cost model favors at the
-// voter's 16-bit width (see planeWorthIt), unless the configuration
-// pins the scalar path or disables the pass outright.
+// PlaneCapable reports whether ProcessRange takes the plane-major path
+// for stacks of the given depth: any depth the 64-lane transpose holds
+// and the cost model favors at the voter's 16-bit width (see
+// planeWorthIt), unless the configuration pins the scalar path or
+// disables the pass outright.
 func (a *AlgoNGST) PlaneCapable(depth int) bool {
 	return !a.cfg.ScalarOnly && a.cfg.Sensitivity > 0 && planeWorthIt(depth, 16)
 }
 
-// ProcessStackPlanes implements PlanePreprocessor: the voter pass over the
-// flattened coordinate range [p0, p1) of s, streamed 64 pixels at a time
-// through a scratch-held plane-major window. Candidate corrections (the
-// rare case) are finalized against the scalar series read straight from
-// the frames; votes are computed against the original planes, so
-// corrections do not cascade, and the gathered window is never scattered
-// back — corrections XOR directly into the frames.
-func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
+// ProcessRange implements SeriesPreprocessor: the voter pass over the
+// flattened coordinate range [p0, p1) of s. When the depth is
+// PlaneCapable the range streams 64 pixels at a time through a
+// scratch-held plane-major window; otherwise it runs the per-series pass
+// at each coordinate. Candidate corrections (the rare case) are finalized
+// against the scalar series read straight from the frames; votes are
+// computed against the original planes, so corrections do not cascade,
+// and the gathered window is never scattered back — corrections XOR
+// directly into the frames.
+func (a *AlgoNGST) ProcessRange(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	if a.cfg.Sensitivity == 0 {
 		return
 	}
@@ -309,14 +295,7 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 		sc = new(VoteScratch)
 	}
 	n := s.Len()
-	npix := s.Width() * s.Height()
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p1 > npix {
-		p1 = npix
-	}
-	if p0 >= p1 {
+	if p0, p1 = clampRange(s, p0, p1); p0 >= p1 {
 		return
 	}
 	if !a.PlaneCapable(n) {
@@ -376,11 +355,11 @@ func (a *AlgoNGST) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScra
 	}
 }
 
-// processStackRangeScalar runs p's scalar series pass over the flattened
-// coordinate range [p0, p1) of s — the fallback when the plane path
-// cannot serve the geometry, and the per-range form the cluster shards
-// use for non-plane preprocessors.
-func processStackRangeScalar(p ScratchPreprocessor, s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
+// processStackRangeScalar runs p's per-series pass over the flattened
+// coordinate range [p0, p1) of s: AlgoNGST's fallback when the plane path
+// cannot serve the geometry, and the per-series oracle the differential
+// tests hold every ProcessRange to.
+func processStackRangeScalar(p SeriesPreprocessor, s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	w := s.Width()
 	if w == 0 {
 		return
@@ -388,33 +367,22 @@ func processStackRangeScalar(p ScratchPreprocessor, s *dataset.Stack, p0, p1 int
 	for i := p0; i < p1; i++ {
 		x, y := i%w, i/w
 		sc.rser = s.SeriesAtBuf(x, y, sc.rser)
-		p.ProcessSeriesScratch(sc.rser, sc, stats)
+		p.ProcessSeries(sc.rser, sc, stats)
 		s.SetSeriesAt(x, y, sc.rser)
 	}
 }
 
-// PlaneCapable implements PlanePreprocessor. The value win for the generic
-// filters is layout, not bit-slicing: their stack pass below runs
-// frame-major (whole rows of one frame at a time) instead of gathering a
-// strided 64-readout series per pixel.
-func (Median3) PlaneCapable(depth int) bool { return depth >= 3 }
-
-// ProcessStackPlanes implements PlanePreprocessor: the sequential in-place
-// median sweep in frame-major order. The scalar recurrence P(i) =
-// median(P(i-1) smoothed, P(i), P(i+1) raw) reads only already-final
-// values of frame i-1 and raw values of frames i and i+1, so the in-place
-// frame-by-frame sweep needs no buffers at all and is bit-identical to
-// the per-series pass.
-func (Median3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
+// ProcessRange implements SeriesPreprocessor: the sequential in-place
+// median sweep in frame-major order (whole rows of one frame at a time
+// instead of a strided series gather per pixel). The scalar recurrence
+// P(i) = median(P(i-1) smoothed, P(i), P(i+1) raw) reads only
+// already-final values of frame i-1 and raw values of frames i and i+1,
+// so the in-place frame-by-frame sweep needs no buffers at all and is
+// bit-identical to the per-series pass, which likewise leaves series
+// shorter than three untouched.
+func (Median3) ProcessRange(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	n := s.Len()
-	npix := s.Width() * s.Height()
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p1 > npix {
-		p1 = npix
-	}
-	if n < 3 || p0 >= p1 {
+	if p0, p1 = clampRange(s, p0, p1); n < 3 || p0 >= p1 {
 		return
 	}
 	f0, f1, f2 := s.Frames[0].Pix, s.Frames[1].Pix, s.Frames[2].Pix
@@ -433,9 +401,10 @@ func (Median3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch,
 	}
 }
 
-// PlaneCapable implements PlanePreprocessor (see Median3.PlaneCapable:
-// the stack pass is the frame-major layout win).
-func (MajorityBit3) PlaneCapable(depth int) bool { return depth >= 3 }
+// clampRange clips [p0, p1) to the flattened pixel range of s.
+func clampRange(s *dataset.Stack, p0, p1 int) (int, int) {
+	return max(p0, 0), min(p1, s.Width()*s.Height())
+}
 
 // majChunk is the pixel width of MajorityBit3's frame-major stack sweep:
 // three rotating original-value buffers of this size replace the
@@ -443,22 +412,16 @@ func (MajorityBit3) PlaneCapable(depth int) bool { return depth >= 3 }
 // inside L1/L2 while amortizing the frame-pointer chasing.
 const majChunk = 4096
 
-// ProcessStackPlanes implements PlanePreprocessor: the vote-against-
-// original majority sweep in frame-major order. Because frame t's output
-// consults the ORIGINAL frames t-1 and (at the reflected tail) n-3, three
-// rotating chunk buffers carry the original values of frames t-2, t-1 and
-// t; raw frames t+1 (and frame 2 at the head) are read live, before the
-// sweep reaches them. Bit-identical to the per-series snapshot pass.
-func (MajorityBit3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
+// ProcessRange implements SeriesPreprocessor: the vote-against-original
+// majority sweep in frame-major order. Because frame t's output consults
+// the ORIGINAL frames t-1 and (at the reflected tail) n-3, three rotating
+// chunk buffers carry the original values of frames t-2, t-1 and t; raw
+// frames t+1 (and frame 2 at the head) are read live, before the sweep
+// reaches them. Bit-identical to the per-series snapshot pass, including
+// its no-op on series shorter than three.
+func (MajorityBit3) ProcessRange(s *dataset.Stack, p0, p1 int, sc *VoteScratch, stats *VoteStats) {
 	n := s.Len()
-	npix := s.Width() * s.Height()
-	if p0 < 0 {
-		p0 = 0
-	}
-	if p1 > npix {
-		p1 = npix
-	}
-	if n < 3 || p0 >= p1 {
+	if p0, p1 = clampRange(s, p0, p1); n < 3 || p0 >= p1 {
 		return
 	}
 	if sc == nil {
@@ -496,7 +459,7 @@ func (MajorityBit3) ProcessStackPlanes(s *dataset.Stack, p0, p1 int, sc *VoteScr
 
 // finishSeries fans one series' staged counters out to the registry
 // counters, the forensics logger, and the caller's collector (the tail of
-// ProcessSeriesScratch, shared with the stack plane path).
+// ProcessSeries, shared with the plane-major ProcessRange).
 func (a *AlgoNGST) finishSeries(local VoteStats, stats *VoteStats) {
 	if a.tel != nil {
 		a.tel.add(local)

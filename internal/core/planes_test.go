@@ -151,40 +151,42 @@ func stacksEqual(t *testing.T, name string, a, b *dataset.Stack) {
 	}
 }
 
-// TestProcessStackPlanesMatchesScalar runs every plane-capable algorithm's
-// stack path against the per-series scalar oracle on the same fault-
-// injected stacks.
+// TestProcessStackPlanesMatchesScalar runs every algorithm's ProcessRange
+// against the per-series scalar oracle on the same fault-injected stacks,
+// at every depth regime: too short to vote (1, 2), scalar-routed (3, 4),
+// plane-major (17, 64) and past the 64-lane transpose block (65), with
+// AlgoNGST both enabled and at Sensitivity 0.
 func TestProcessStackPlanesMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	ngst, err := NewAlgoNGST(DefaultNGSTConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ngstScalar, err := NewAlgoNGST(NGSTConfig{Upsilon: 4, Sensitivity: 80, ScalarOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, geom := range []struct{ depth, w, h int }{
-		{64, 16, 16}, {64, 13, 5}, {3, 7, 7}, {17, 9, 3}, {4, 1, 1},
-	} {
-		src := damagedStack(rng, geom.depth, geom.w, geom.h)
-
-		// AlgoNGST: plane stack path vs the ScalarOnly per-series loop.
-		wantS, gotS := src.Clone(), src.Clone()
-		var wantStats, gotStats VoteStats
-		processStackRangeScalar(ngstScalar, wantS, 0, geom.w*geom.h, NewVoteScratch(), &wantStats)
-		ngst.ProcessStackPlanes(gotS, 0, geom.w*geom.h, NewVoteScratch(), &gotStats)
-		stacksEqual(t, ngst.Name(), wantS, gotS)
-		if wantStats != gotStats {
-			t.Fatalf("%s geom %+v: stats scalar %+v plane %+v", ngst.Name(), geom, wantStats, gotStats)
+	for _, cfg := range []NGSTConfig{DefaultNGSTConfig(), {Upsilon: 4, Sensitivity: 0}} {
+		ngst, err := NewAlgoNGST(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, geom := range []struct{ depth, w, h int }{
+			{64, 16, 16}, {64, 13, 5}, {3, 7, 7}, {17, 9, 3}, {4, 1, 1},
+			{1, 6, 5}, {2, 9, 4}, {65, 11, 7},
+		} {
+			src := damagedStack(rng, geom.depth, geom.w, geom.h)
 
-		// Generic filters: frame-major stack path vs per-series pass.
-		for _, pre := range []PlanePreprocessor{Median3{}, MajorityBit3{}} {
-			want, got := src.Clone(), src.Clone()
-			processStackRangeScalar(pre, want, 0, geom.w*geom.h, NewVoteScratch(), nil)
-			pre.ProcessStackPlanes(got, 0, geom.w*geom.h, NewVoteScratch(), nil)
-			stacksEqual(t, pre.Name(), want, got)
+			// AlgoNGST: ProcessRange vs the ScalarOnly per-series loop,
+			// stats included.
+			wantS, gotS := src.Clone(), src.Clone()
+			var wantStats, gotStats VoteStats
+			processStackRangeScalar(scalarOracle(ngst), wantS, 0, geom.w*geom.h, NewVoteScratch(), &wantStats)
+			ngst.ProcessRange(gotS, 0, geom.w*geom.h, NewVoteScratch(), &gotStats)
+			stacksEqual(t, ngst.Name(), wantS, gotS)
+			if wantStats != gotStats {
+				t.Fatalf("%s geom %+v: stats scalar %+v plane %+v", ngst.Name(), geom, wantStats, gotStats)
+			}
+
+			// Generic filters: frame-major stack path vs per-series pass.
+			for _, pre := range []SeriesPreprocessor{Median3{}, MajorityBit3{}} {
+				want, got := src.Clone(), src.Clone()
+				processStackRangeScalar(pre, want, 0, geom.w*geom.h, NewVoteScratch(), nil)
+				pre.ProcessRange(got, 0, geom.w*geom.h, NewVoteScratch(), nil)
+				stacksEqual(t, pre.Name(), want, got)
+			}
 		}
 	}
 }
@@ -198,13 +200,13 @@ func TestProcessStackPlanesRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []PlanePreprocessor{ngst, Median3{}, MajorityBit3{}} {
+	for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
 		src := damagedStack(rng, 32, 12, 9)
 		full := src.Clone()
-		pre.ProcessStackPlanes(full, 0, 108, nil, nil)
+		pre.ProcessRange(full, 0, 108, nil, nil)
 		part := src.Clone()
 		p0, p1 := 23, 77
-		pre.ProcessStackPlanes(part, p0, p1, nil, nil)
+		pre.ProcessRange(part, p0, p1, nil, nil)
 		for fi := range src.Frames {
 			for i := range src.Frames[fi].Pix {
 				want := src.Frames[fi].Pix[i]
@@ -228,20 +230,20 @@ func TestProcessStackPlanesZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []PlanePreprocessor{ngst, Median3{}, MajorityBit3{}} {
+	for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
 		src := damagedStack(rng, 64, 16, 8)
 		work := src.Clone()
 		sc := NewVoteScratch()
 		var stats VoteStats
-		pre.ProcessStackPlanes(work, 0, 128, sc, &stats)
+		pre.ProcessRange(work, 0, 128, sc, &stats)
 		allocs := testing.AllocsPerRun(10, func() {
 			for fi := range work.Frames {
 				copy(work.Frames[fi].Pix, src.Frames[fi].Pix)
 			}
-			pre.ProcessStackPlanes(work, 0, 128, sc, &stats)
+			pre.ProcessRange(work, 0, 128, sc, &stats)
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: ProcessStackPlanes allocates %.1f objects per pass with a warm scratch, want 0",
+			t.Fatalf("%s: ProcessRange allocates %.1f objects per pass with a warm scratch, want 0",
 				pre.Name(), allocs)
 		}
 	}
@@ -293,15 +295,18 @@ func FuzzPlaneTemporal(f *testing.F) {
 	})
 }
 
-// FuzzPlaneStack fuzzes the stack-level plane paths of all three series
-// algorithms against their scalar oracles on byte-derived geometries.
+// FuzzPlaneStack fuzzes the ProcessRange of all three series algorithms
+// against their per-series scalar oracles on byte-derived geometries,
+// across every depth from a single readout to past the 64-lane block.
 func FuzzPlaneStack(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint8(3), int64(1))
 	f.Add(uint8(64), uint8(2), uint8(2), int64(2))
 	f.Add(uint8(3), uint8(9), uint8(1), int64(3))
 	f.Add(uint8(33), uint8(5), uint8(4), int64(-77))
+	f.Add(uint8(0), uint8(4), uint8(3), int64(5))
+	f.Add(uint8(79), uint8(7), uint8(2), int64(6))
 	f.Fuzz(func(t *testing.T, depthRaw, wRaw, hRaw uint8, seed int64) {
-		depth := 3 + int(depthRaw)%62
+		depth := 1 + int(depthRaw)%80
 		w := 1 + int(wRaw)%12
 		h := 1 + int(hRaw)%8
 		rng := rand.New(rand.NewSource(seed))
@@ -310,19 +315,19 @@ func FuzzPlaneStack(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pre := range []PlanePreprocessor{ngst, Median3{}, MajorityBit3{}} {
+		for _, pre := range []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}} {
 			want, got := src.Clone(), src.Clone()
 			processStackRangeScalar(scalarOracle(pre), want, 0, w*h, NewVoteScratch(), nil)
-			pre.ProcessStackPlanes(got, 0, w*h, NewVoteScratch(), nil)
+			pre.ProcessRange(got, 0, w*h, NewVoteScratch(), nil)
 			stacksEqual(t, pre.Name(), want, got)
 		}
 	})
 }
 
-// scalarOracle returns the scalar-path twin of a plane preprocessor: for
+// scalarOracle returns the scalar-path twin of a preprocessor: for
 // AlgoNGST a ScalarOnly copy, for the buffer-free generic filters the
 // value itself (their per-series pass is already the oracle).
-func scalarOracle(p PlanePreprocessor) ScratchPreprocessor {
+func scalarOracle(p SeriesPreprocessor) SeriesPreprocessor {
 	if a, ok := p.(*AlgoNGST); ok {
 		cfg := a.Config()
 		cfg.ScalarOnly = true

@@ -77,8 +77,8 @@ func TestPropertyProcessingDeterministic(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := randomSeries(seed)
 		s1, s2 := s.Clone(), s.Clone()
-		a.ProcessSeries(s1)
-		a.ProcessSeries(s2)
+		a.ProcessSeries(s1, nil, nil)
+		a.ProcessSeries(s2, nil, nil)
 		for i := range s1 {
 			if s1[i] != s2[i] {
 				return false
@@ -102,7 +102,7 @@ func TestPropertyNeverPanicsOnArbitraryInput(t *testing.T) {
 			return false
 		}
 		s := dataset.Series(raw)
-		a.ProcessSeries(s) // must not panic
+		a.ProcessSeries(s, nil, nil) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -144,7 +144,7 @@ func TestPropertyMajorityPreservesUnanimousBits(t *testing.T) {
 		}
 		s := dataset.Series(raw).Clone()
 		orig := s.Clone()
-		MajorityBit3{}.ProcessSeries(s)
+		MajorityBit3{}.ProcessSeries(s, nil, nil)
 		for i := 1; i < len(s)-1; i++ {
 			agree := ^(orig[i-1] ^ orig[i]) & ^(orig[i] ^ orig[i+1])
 			if (s[i]^orig[i])&agree != 0 {
@@ -168,7 +168,7 @@ func TestPropertyMedianOutputWithinWindowRange(t *testing.T) {
 		}
 		orig := dataset.Series(raw).Clone()
 		s := orig.Clone()
-		Median3{}.ProcessSeries(s)
+		Median3{}.ProcessSeries(s, nil, nil)
 		lo, hi := orig[0], orig[0]
 		for _, v := range orig {
 			if v < lo {

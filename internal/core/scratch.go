@@ -5,12 +5,12 @@ import (
 )
 
 // VoteScratch holds every buffer the temporal voter pass needs, so a warm
-// scratch lets ProcessSeriesScratch run with zero steady-state heap
+// scratch lets a SeriesPreprocessor pass run with zero steady-state heap
 // allocations. One scratch serves any series length and any Upsilon: the
 // buffers grow to the largest series seen and are reused thereafter.
 //
 // A VoteScratch is NOT safe for concurrent use; give each goroutine its
-// own (cluster.LocalWorker keeps a pool and hands one to each row shard).
+// own (cluster.LocalWorker keeps a pool and hands one to each range shard).
 // The zero value is ready to use.
 type VoteScratch struct {
 	// vals is the series widened to the voter's uint32 payload.
@@ -89,17 +89,4 @@ func growF64(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// ScratchPreprocessor is implemented by series preprocessors whose pass
-// can run against caller-owned scratch, allocation-free once the scratch
-// is warm. AlgoNGST, Median3 and MajorityBit3 all implement it; the
-// cluster workers prefer this path and fall back to ProcessSeries for
-// preprocessors that do not.
-type ScratchPreprocessor interface {
-	SeriesPreprocessor
-	// ProcessSeriesScratch repairs s in place using sc's buffers. sc may
-	// be nil (a fresh scratch is used, reintroducing the allocations);
-	// stats, when non-nil, accumulates the pass's counters.
-	ProcessSeriesScratch(s dataset.Series, sc *VoteScratch, stats *VoteStats)
 }

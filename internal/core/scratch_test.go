@@ -24,14 +24,14 @@ func damagedSeries(rng *rand.Rand, n int) dataset.Series {
 }
 
 // TestProcessSeriesScratchZeroAlloc is the tentpole's regression gate: the
-// steady-state per-series pass of every ScratchPreprocessor must not touch
+// steady-state per-series pass of every SeriesPreprocessor must not touch
 // the heap once its scratch is warm.
 func TestProcessSeriesScratchZeroAlloc(t *testing.T) {
 	ngst, err := NewAlgoNGST(DefaultNGSTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres := []ScratchPreprocessor{ngst, Median3{}, MajorityBit3{}}
+	pres := []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}}
 	rng := rand.New(rand.NewSource(7))
 	damaged := damagedSeries(rng, 64)
 	for _, pre := range pres {
@@ -40,13 +40,13 @@ func TestProcessSeriesScratchZeroAlloc(t *testing.T) {
 			ser := damaged.Clone()
 			var stats VoteStats
 			// Warm the scratch (first pass sizes every buffer).
-			pre.ProcessSeriesScratch(ser, sc, &stats)
+			pre.ProcessSeries(ser, sc, &stats)
 			allocs := testing.AllocsPerRun(100, func() {
 				copy(ser, damaged)
-				pre.ProcessSeriesScratch(ser, sc, &stats)
+				pre.ProcessSeries(ser, sc, &stats)
 			})
 			if allocs != 0 {
-				t.Fatalf("%s: ProcessSeriesScratch allocates %.1f objects per series with a warm scratch, want 0",
+				t.Fatalf("%s: ProcessSeries allocates %.1f objects per series with a warm scratch, want 0",
 					pre.Name(), allocs)
 			}
 		})
@@ -66,10 +66,10 @@ func TestProcessSeriesScratchZeroAllocUpsilonSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		ser := damaged.Clone()
-		a.ProcessSeriesScratch(ser, sc, nil)
+		a.ProcessSeries(ser, sc, nil)
 		allocs := testing.AllocsPerRun(50, func() {
 			copy(ser, damaged)
-			a.ProcessSeriesScratch(ser, sc, nil)
+			a.ProcessSeries(ser, sc, nil)
 		})
 		if allocs != 0 {
 			t.Fatalf("Upsilon=%d: %.1f allocs per series with a warm scratch, want 0", upsilon, allocs)
@@ -86,7 +86,7 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres := []ScratchPreprocessor{ngst, Median3{}, MajorityBit3{}}
+	pres := []SeriesPreprocessor{ngst, Median3{}, MajorityBit3{}}
 	sc := NewVoteScratch()
 	for trial := 0; trial < 200; trial++ {
 		n := 8 + rng.Intn(120)
@@ -95,19 +95,15 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 			viaAlloc := damaged.Clone()
 			viaScratch := damaged.Clone()
 			var statsAlloc, statsScratch VoteStats
-			if a, ok := pre.(*AlgoNGST); ok {
-				a.ProcessSeriesStats(viaAlloc, &statsAlloc)
-			} else {
-				pre.ProcessSeries(viaAlloc)
-			}
-			pre.ProcessSeriesScratch(viaScratch, sc, &statsScratch)
+			pre.ProcessSeries(viaAlloc, nil, &statsAlloc)
+			pre.ProcessSeries(viaScratch, sc, &statsScratch)
 			for i := range viaAlloc {
 				if viaAlloc[i] != viaScratch[i] {
 					t.Fatalf("trial %d %s: pixel %d diverges: allocating=%04x scratch=%04x",
 						trial, pre.Name(), i, viaAlloc[i], viaScratch[i])
 				}
 			}
-			if _, ok := pre.(*AlgoNGST); ok && statsAlloc != statsScratch {
+			if statsAlloc != statsScratch {
 				t.Fatalf("trial %d %s: stats diverge: allocating=%+v scratch=%+v",
 					trial, pre.Name(), statsAlloc, statsScratch)
 			}
@@ -138,7 +134,7 @@ func TestCubeScratchMatchesAllocatingPath(t *testing.T) {
 		}
 		viaAlloc, viaScratch := c.Clone(), c.Clone()
 		var statsAlloc, statsScratch CubeStats
-		a.ProcessCubeStats(viaAlloc, &statsAlloc)
+		a.ProcessCubeScratch(viaAlloc, nil, &statsAlloc)
 		sc := NewCubeScratch()
 		a.ProcessCubeScratch(viaScratch, sc, &statsScratch)
 		// And again through the now-warm scratch, to catch stale-buffer

@@ -19,7 +19,7 @@ func TestProcessSeriesStatsCountsCorrections(t *testing.T) {
 	s[40] ^= 1 << 13
 
 	var stats VoteStats
-	a.ProcessSeriesStats(s, &stats)
+	a.ProcessSeries(s, nil, &stats)
 	if stats.Series != 1 {
 		t.Fatalf("Series = %d", stats.Series)
 	}
@@ -44,7 +44,7 @@ func TestProcessSeriesStatsGuardCounter(t *testing.T) {
 	var stats VoteStats
 	for trial := uint64(0); trial < 30; trial++ {
 		ser := gaussianSeries(t, 500, 8100+trial)
-		a.ProcessSeriesStats(ser, &stats)
+		a.ProcessSeries(ser, nil, &stats)
 	}
 	if stats.Series != 30 {
 		t.Fatalf("Series = %d", stats.Series)
@@ -72,5 +72,5 @@ func TestStatsNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := gaussianSeries(t, 250, 9999)
-	a.ProcessSeriesStats(s, nil) // must not panic
+	a.ProcessSeries(s, nil, nil) // must not panic
 }

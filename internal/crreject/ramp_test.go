@@ -147,7 +147,7 @@ func TestRampPreprocessingStillRepairsFlips(t *testing.T) {
 	ser[30] ^= 1 << 14
 
 	pre := newTestAlgo(t)
-	pre.ProcessSeries(ser)
+	pre.ProcessSeries(ser, nil, nil)
 	if ser[30] != want[30] {
 		t.Fatalf("ramp flip not repaired: %d != %d", ser[30], want[30])
 	}

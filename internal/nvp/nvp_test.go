@@ -238,7 +238,7 @@ func TestCorruptedInputDefeatsNVP(t *testing.T) {
 	}
 	cleaned := ideal.Clone()
 	fault.Uncorrelated{Gamma0: 0.05}.InjectSeries(cleaned, rng.New(2))
-	pre.ProcessSeries(cleaned)
+	pre.ProcessSeries(cleaned, nil, nil)
 	out2, _, err := e.Run(cleaned)
 	if err != nil {
 		t.Fatal(err)

@@ -329,16 +329,6 @@ func WithClientDialBackoff(attempts int, base time.Duration) Option {
 	}
 }
 
-// WithClientTelemetry wires the client's instrumentation into reg.
-//
-// Deprecated: telemetry options were unified; use WithTelemetry.
-func WithClientTelemetry(reg *telemetry.Registry) Option { return WithTelemetry(reg) }
-
-// WithClientLogger routes the client's retry forensics into l.
-//
-// Deprecated: logger options were unified; use WithLogger.
-func WithClientLogger(l *slog.Logger) Option { return WithLogger(l) }
-
 // WithFleet sets the fleet membership for routers and fleet-aware
 // clients.
 func WithFleet(nodes ...Node) Option {

@@ -79,7 +79,7 @@ func TestE2EServedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.ProcessStack(ref)
+	core.ProcessStackWith(pre, ref)
 	rej, err := crreject.New(crreject.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestE2EShedAndRetryToSuccess(t *testing.T) {
 
 	creg := telemetry.NewRegistry()
 	retrier := dialClient(t, addr, WithClientID("retrier"),
-		WithClientTelemetry(creg),
+		WithTelemetry(creg),
 		WithRetryPolicy(100, time.Millisecond, 5*time.Millisecond))
 	retried := make(chan error, 1)
 	var res *Result

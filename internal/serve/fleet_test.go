@@ -57,6 +57,21 @@ func expectedRing(addrs []string) *ring.Ring {
 	return rg
 }
 
+// keyOwnedBy returns a routing key (prefix plus a counter) that rg places
+// on addr. Owners depend on the ephemeral listen ports, so it probes 64
+// candidates: with two members, missing them all is a 2^-64 event.
+func keyOwnedBy(t *testing.T, rg *ring.Ring, addr, prefix string) string {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("%s%d", prefix, i)
+		if owner, _ := rg.Lookup(k); owner == addr {
+			return k
+		}
+	}
+	t.Fatalf("no probe key hashed onto %s; add candidates", addr)
+	return ""
+}
+
 // startRouter boots a router from cfg and registers cleanup.
 func startRouter(t *testing.T, cfg Config) (*Router, string) {
 	t.Helper()
@@ -246,19 +261,7 @@ func TestFleetShedFailsOverWithoutTripping(t *testing.T) {
 
 	// A key owned by the soon-to-be-saturated member.
 	rg := expectedRing([]string{addrA, addrB})
-	// The owner depends on the ephemeral listen ports, so probe enough
-	// candidate keys that one landing on A is a near-certainty.
-	key := ""
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if owner, _ := rg.Lookup(k); owner == addrA {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no probe key hashed onto the first member; add candidates")
-	}
+	key := keyOwnedBy(t, rg, addrA, "k")
 
 	// Saturate A with a direct client so the fleet's forward sheds.
 	occ := dialClient(t, addrA, WithClientID("occ"))
@@ -310,16 +313,7 @@ func TestFleetSpilloverOnDepth(t *testing.T) {
 	t.Cleanup(f.Close)
 
 	rg := expectedRing([]string{addrHot, addrCool})
-	key := ""
-	for _, k := range []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"} {
-		if owner, _ := rg.Lookup(k); owner == addrHot {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no probe key hashed onto the gated member; add candidates")
-	}
+	key := keyOwnedBy(t, rg, addrHot, "s")
 
 	// Park one forward on the owner so its live depth reaches the
 	// threshold.
@@ -552,16 +546,7 @@ func TestFleetRemoteErrorIsTerminal(t *testing.T) {
 	t.Cleanup(f.Close)
 
 	rg := expectedRing([]string{addrA, addrB})
-	key := ""
-	for _, k := range []string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7"} {
-		if owner, _ := rg.Lookup(k); owner == addrA {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no probe key hashed onto the failing member; add candidates")
-	}
+	key := keyOwnedBy(t, rg, addrA, "r")
 
 	ctx := WithRoute(context.Background(), Route{Client: "rc", Key: key})
 	res := <-f.Submit(ctx, testStack(2, 8, 8))
@@ -607,7 +592,7 @@ func TestRouterE2EBitIdenticalAcrossRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.ProcessStack(ref)
+	core.ProcessStackWith(pre, ref)
 	rej, err := crreject.New(crreject.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

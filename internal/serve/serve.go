@@ -29,6 +29,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -118,6 +119,10 @@ type Server struct {
 	draining bool
 	closed   bool
 	connWG   sync.WaitGroup // accept loop + connection handlers
+	// exchanges counts admitted requests until their final response is
+	// written. Admission slots settle just before that write, so the
+	// drain waits on this as well as on the core.
+	exchanges sync.WaitGroup
 }
 
 // NewServer builds a daemon over the backend (normally a *cluster.Pool
@@ -225,8 +230,8 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Inflight reports the number of admitted requests currently in the
-// pipeline.
+// Inflight reports the number of admitted requests whose response is not
+// yet ready to write (slots settle before the final write; see handle).
 func (s *Server) Inflight() int { return s.core.Inflight() }
 
 // serveConn answers requests on one connection until it drops or the
@@ -243,17 +248,49 @@ func (s *Server) serveConn(conn net.Conn) {
 	// header earned. A stream claiming more simply fails its decode.
 	lim := &limitReader{r: conn, n: maxHeaderBytes}
 	dec := gob.NewDecoder(lim)
-	enc := gob.NewEncoder(conn)
+	out := newResponder(conn)
 	for {
 		lim.n = maxHeaderBytes
 		var hdr header
 		if err := dec.Decode(&hdr); err != nil {
 			return
 		}
-		if !s.handle(conn, enc, dec, lim, hdr) {
+		if !s.handle(conn, out, dec, lim, hdr) {
 			return
 		}
 	}
+}
+
+// responder gob-encodes responses into a buffer and writes each one to
+// the connection in a single call, so a request can settle between
+// encoding its response and putting it on the wire.
+type responder struct {
+	conn net.Conn
+	buf  bytes.Buffer
+	enc  *gob.Encoder
+}
+
+func newResponder(conn net.Conn) *responder {
+	r := &responder{conn: conn}
+	r.enc = gob.NewEncoder(&r.buf)
+	return r
+}
+
+// encode serializes resp into the buffer, replacing any unsent response.
+func (r *responder) encode(resp *response) error {
+	r.buf.Reset()
+	return r.enc.Encode(resp)
+}
+
+// flush writes the encoded response and reports whether it went out.
+func (r *responder) flush() bool {
+	_, err := r.conn.Write(r.buf.Bytes())
+	return err == nil
+}
+
+// send encodes and writes resp.
+func (r *responder) send(resp *response) bool {
+	return r.encode(resp) == nil && r.flush()
 }
 
 // limitReader caps how many bytes the gob decoder may consume per
@@ -289,7 +326,18 @@ func (l *limitReader) Read(p []byte) (int, error) {
 // root traces — an untraced request stays untraced — so trace volume is
 // always the client's choice. Every admitted request also leaves one
 // structured access-log line and competes for the slowest-requests ring.
-func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *limitReader, hdr header) bool {
+//
+// Settlement: an admitted request's books close once, just before its
+// final response is written — the admission slot with its inflight
+// gauges and quota entry, the request latency histogram, the access log,
+// the slowest-requests ring and the serve_request span. A client that
+// has read its response therefore observes all of them settled. A
+// served result is encoded under the respond span first (see responder),
+// so the span nests inside serve_request; only the socket write follows
+// settlement, and the drain still waits for it (see exchanges). The WAL
+// commit is not part of settlement: it happens as soon as the pipeline
+// answers.
+func (s *Server) handle(conn net.Conn, out *responder, dec *gob.Decoder, lim *limitReader, hdr header) bool {
 	if s.met != nil {
 		s.met.requests.Inc()
 	}
@@ -299,15 +347,15 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 		if s.met != nil {
 			s.met.errored.Inc()
 		}
-		return enc.Encode(&response{Status: StatusError, Err: err.Error()}) == nil
+		return out.send(&response{Status: StatusError, Err: err.Error()})
 	}
 	if declared := hdr.payloadBytes(); declared > s.cfg.MaxRequestBytes {
 		if s.met != nil {
 			s.met.errored.Inc()
 		}
-		return enc.Encode(&response{Status: StatusError,
+		return out.send(&response{Status: StatusError,
 			Err: fmt.Sprintf("serve: request declares %d payload bytes, budget is %d",
-				declared, s.cfg.MaxRequestBytes)}) == nil
+				declared, s.cfg.MaxRequestBytes)})
 	}
 	client := sanitizeClientID(hdr.Client, conn)
 
@@ -342,19 +390,24 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 			reqSpan.Annotate("outcome", dcsn.Status.String())
 			reqSpan.End()
 		}
-		return enc.Encode(&verdict) == nil
+		return out.send(&verdict)
 	}
-	defer release()
+	// Counted while the slot is still held, so a drain that has seen the
+	// core go idle sees every exchange it must wait for.
+	s.exchanges.Add(1)
+	defer s.exchanges.Done()
 	start := time.Now()
-	if s.met != nil {
-		defer func() { s.met.reqLat.Observe(time.Since(start)) }()
-	}
 
-	// The access log, the slowest-requests ring and the request span all
-	// settle here, whatever path the request takes out of this function.
-	outcome := "disconnect"
+	// settle closes the request's books with its outcome; the first call
+	// wins. Exits that write a final response settle just before the
+	// write; the deferred call covers the ones that drop the connection.
 	var bs *BatchStats
-	defer func() {
+	settled := false
+	settle := func(outcome string) {
+		if settled {
+			return
+		}
+		settled = true
 		dur := time.Since(start)
 		var queueWait time.Duration
 		batchSize := 0
@@ -385,9 +438,33 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 			reqSpan.Annotate("outcome", outcome)
 			reqSpan.End()
 		}
-	}()
+		if s.met != nil {
+			s.met.reqLat.Observe(dur)
+		}
+		release()
+	}
+	defer settle("disconnect")
+	// finish answers with a served result: encoded under the respond
+	// span, settled, then written.
+	finish := func(res *cluster.Result, outcome string) bool {
+		resp := child(StageRespond, client)
+		err := out.encode(&response{
+			Status:     StatusOK,
+			Image:      res.Image,
+			Compressed: res.Compressed,
+			Stats:      res.Stats,
+			PreStats:   res.PreStats,
+			Retries:    res.Retries,
+		})
+		resp.End()
+		if err != nil {
+			return false
+		}
+		settle(outcome)
+		return out.flush()
+	}
 
-	if err := enc.Encode(&verdict); err != nil {
+	if !out.send(&verdict) {
 		return false
 	}
 
@@ -403,19 +480,19 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReceiveTimeout)) //nolint:errcheck // a dead conn fails the decode below
 		var frame dataset.Image
 		if err := dec.Decode(&frame); err != nil {
-			outcome = "recv_error"
 			recv.Annotate("error", err.Error())
 			recv.End()
+			settle("recv_error")
 			return false
 		}
 		if frame.Width != hdr.Width || frame.Height != hdr.Height || len(frame.Pix) != hdr.Width*hdr.Height {
 			if s.met != nil {
 				s.met.errored.Inc()
 			}
-			outcome = "bad_frame"
 			recv.Annotate("error", "frame does not match header")
 			recv.End()
-			enc.Encode(&response{Status: StatusError,
+			settle("bad_frame")
+			out.send(&response{Status: StatusError,
 				Err: fmt.Sprintf("serve: frame %d is %dx%d (%d px), header said %dx%d",
 					i, frame.Width, frame.Height, len(frame.Pix), hdr.Width, hdr.Height)})
 			return false
@@ -446,20 +523,7 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 	if s.core.IngestEnabled() {
 		dig = store.StackDigest(stack)
 		if cached, ok := s.core.CachedResult(dig); ok {
-			resp := child(StageRespond, client)
-			sent := enc.Encode(&response{
-				Status:     StatusOK,
-				Image:      cached.Image,
-				Compressed: cached.Compressed,
-				Stats:      cached.Stats,
-				PreStats:   cached.PreStats,
-				Retries:    cached.Retries,
-			}) == nil
-			resp.End()
-			if sent {
-				outcome = "dedupe_hit"
-			}
-			return sent
+			return finish(cached, "dedupe_hit")
 		}
 		walSeq, logged = s.core.LogAdmitted(client, key, dig, stack)
 	}
@@ -507,8 +571,8 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 				s.log.LogAttrs(ctx, slog.LevelWarn, "request shed by backend",
 					slog.String("client", client))
 			}
-			outcome = "shed"
-			return enc.Encode(&response{Status: StatusShed, RetryAfter: s.cfg.RetryAfter}) == nil
+			settle("shed")
+			return out.send(&response{Status: StatusShed, RetryAfter: s.cfg.RetryAfter})
 		}
 		if s.met != nil {
 			s.met.errored.Inc()
@@ -518,23 +582,10 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, lim *
 				slog.String("client", client),
 				slog.String("error", res.Err.Error()))
 		}
-		outcome = "error"
-		return enc.Encode(&response{Status: StatusError, Err: res.Err.Error()}) == nil
+		settle("error")
+		return out.send(&response{Status: StatusError, Err: res.Err.Error()})
 	}
-	resp := child(StageRespond, client)
-	ok := enc.Encode(&response{
-		Status:     StatusOK,
-		Image:      res.Image,
-		Compressed: res.Compressed,
-		Stats:      res.Stats,
-		PreStats:   res.PreStats,
-		Retries:    res.Retries,
-	}) == nil
-	resp.End()
-	if ok {
-		outcome = "ok"
-	}
-	return ok
+	return finish(res, "ok")
 }
 
 // traceIDString renders the trace ID for logs ("" when untraced).
@@ -562,7 +613,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.core.BeginDrain() {
 		// A concurrent Shutdown owns the drain; wait it out, but still
 		// honor this caller's deadline with a forced close.
-		done := s.core.Idle()
+		done := s.idle()
 		select {
 		case <-done:
 			return nil
@@ -581,7 +632,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			slog.Int("inflight", s.core.Inflight()))
 	}
 
-	done := s.core.Idle()
+	done := s.idle()
 	var err error
 	select {
 	case <-done:
@@ -610,6 +661,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "drained")
 	}
 	return err
+}
+
+// idle returns a channel that closes once every admitted request has
+// retired from the core and written its final response.
+func (s *Server) idle() <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		<-s.core.Idle()
+		s.exchanges.Wait()
+		close(done)
+	}()
+	return done
 }
 
 // closeConns force-closes every tracked connection, unblocking handlers

@@ -460,7 +460,7 @@ func TestShedRetrySucceeds(t *testing.T) {
 	<-fb.started
 
 	retrier := dialClient(t, addr,
-		WithClientTelemetry(creg),
+		WithTelemetry(creg),
 		WithRetryPolicy(50, time.Millisecond, 5*time.Millisecond))
 	retried := make(chan error, 1)
 	go func() {

@@ -100,7 +100,7 @@ func mixedSigmaError(cfg NGSTConfig, pre core.SeriesPreprocessor, seed uint64, g
 		damaged := ideal.Clone()
 		injector.InjectSeries(damaged, faultSrc)
 		if pre != nil {
-			pre.ProcessSeries(damaged)
+			pre.ProcessSeries(damaged, nil, nil)
 		}
 		acc.Add(metrics.SeriesError(damaged, ideal))
 	}
@@ -217,7 +217,7 @@ func AblationLayout(cfg NGSTConfig, seed uint64) (*Result, error) {
 					for i := range got {
 						got[i] = buf[place(c, i)]
 					}
-					a.ProcessSeries(got)
+					a.ProcessSeries(got, nil, nil)
 					psi.Add(metrics.SeriesError(got, ideal[c]))
 				}
 				acc.Add(psi.Mean())

@@ -59,7 +59,7 @@ func AblationECC(cfg NGSTConfig, seed uint64) (*Result, error) {
 			accs[0].Add(metrics.SeriesError(plain, ideal))
 
 			processed := plain.Clone()
-			pre.ProcessSeries(processed)
+			pre.ProcessSeries(processed, nil, nil)
 			accs[1].Add(metrics.SeriesError(processed, ideal))
 
 			// Protected memory: flips hit the 22-bit codewords.
@@ -69,7 +69,7 @@ func AblationECC(cfg NGSTConfig, seed uint64) (*Result, error) {
 			accs[2].Add(metrics.SeriesError(dataset.Series(decoded), ideal))
 
 			both := dataset.Series(decoded).Clone()
-			pre.ProcessSeries(both)
+			pre.ProcessSeries(both, nil, nil)
 			accs[3].Add(metrics.SeriesError(both, ideal))
 		}
 		for i := range variants {

@@ -69,7 +69,7 @@ func seriesPreprocessorError(cfg NGSTConfig, pre core.SeriesPreprocessor, seed u
 		damaged := ideal.Clone()
 		inject(damaged, faultSrc)
 		if pre != nil {
-			pre.ProcessSeries(damaged)
+			pre.ProcessSeries(damaged, nil, nil)
 		}
 		acc.Add(metrics.SeriesError(damaged, ideal))
 	}
@@ -156,7 +156,7 @@ func Fig3(cfg NGSTConfig, seed uint64) (*Result, error) {
 		for r := 0; r < reps; r++ {
 			for _, ser := range data {
 				copy(scratch, ser)
-				pre.ProcessSeries(scratch)
+				pre.ProcessSeries(scratch, nil, nil)
 			}
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(reps*len(data))
@@ -219,17 +219,17 @@ func Fig3Layout(cfg NGSTConfig, seed uint64) (*Result, error) {
 		injector.InjectSeries(ser, rng.NewStream(seed+1, uint64(i)))
 		data[i] = ser
 	}
-	timePre := func(pre core.ScratchPreprocessor) float64 {
+	timePre := func(pre core.SeriesPreprocessor) float64 {
 		const reps = 50
 		scratch := make(dataset.Series, cfg.N)
 		sc := core.NewVoteScratch()
 		copy(scratch, data[0])
-		pre.ProcessSeriesScratch(scratch, sc, nil) // warm the scratch
+		pre.ProcessSeries(scratch, sc, nil) // warm the scratch
 		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, ser := range data {
 				copy(scratch, ser)
-				pre.ProcessSeriesScratch(scratch, sc, nil)
+				pre.ProcessSeries(scratch, sc, nil)
 			}
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(reps*len(data))
@@ -253,7 +253,7 @@ func Fig3Layout(cfg NGSTConfig, seed uint64) (*Result, error) {
 
 	for _, alg := range []struct {
 		name string
-		pre  core.ScratchPreprocessor
+		pre  core.SeriesPreprocessor
 	}{{"Median3", core.Median3{}}, {"MajorityBit3", core.MajorityBit3{}}} {
 		y := timePre(alg.pre)
 		s := Series{Name: alg.name}

@@ -110,16 +110,23 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // states of other histograms (other nodes' /metrics pages) and the merged
 // quantiles recomputed from the combined buckets — the only way to
 // aggregate percentiles across a fleet without averaging lies.
+//
+// A State taken under concurrent Observes is never torn: Count is the
+// total of the bucket loads it took, so the two always agree. Observe
+// writes its bucket last, so the Sum, Min and Max loaded afterwards cover
+// every bucketed observation (and possibly a few still in flight).
 func (h *Histogram) State() HistogramState {
-	s := HistogramState{Count: h.count.Load(), Sum: h.sum.Load()}
+	var s HistogramState
+	for i := range h.buckets {
+		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
+	}
 	if s.Count == 0 {
 		return HistogramState{}
 	}
+	s.Sum = h.sum.Load()
 	s.Min = time.Duration(h.min.Load())
 	s.Max = time.Duration(h.max.Load())
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
 	return s
 }
 

@@ -16,14 +16,9 @@ type (
 	Worker = cluster.Worker
 	// LocalWorker runs preprocessing + CR rejection in process.
 	LocalWorker = cluster.LocalWorker
-	// Master fragments baselines, dispatches tiles, reassembles and
-	// compresses.
-	Master = cluster.Master
-	// MasterOption configures a Master.
-	MasterOption = cluster.MasterOption
 	// LocalWorkerOption configures a LocalWorker (see WithShards).
 	LocalWorkerOption = cluster.LocalWorkerOption
-	// PipelineResult is the master's output for one baseline.
+	// PipelineResult is the pool's output for one baseline.
 	PipelineResult = cluster.Result
 	// TileResult is a worker's output for one tile.
 	TileResult = cluster.TileResult
@@ -36,8 +31,9 @@ type (
 	// AdaptiveWorker preprocesses each tile at the highest sensitivity
 	// its compute budget allows (the Section 2.1 slack-CPU idea).
 	AdaptiveWorker = cluster.AdaptiveWorker
-	// WorkerPool owns worker membership, health gating, and the shared
-	// job queue; Masters are thin per-baseline clients of it.
+	// WorkerPool is the Figure 1 master: it fragments baselines,
+	// dispatches tiles over its workers, reassembles and compresses, and
+	// owns worker membership, health gating and the shared job queue.
 	WorkerPool = cluster.Pool
 	// WorkerPoolOption configures a WorkerPool.
 	WorkerPoolOption = cluster.PoolOption
@@ -66,20 +62,9 @@ func NewLocalWorker(pre SeriesPreprocessor, rejCfg CRConfig, opts ...LocalWorker
 	return cluster.NewLocalWorker(pre, rejCfg, opts...)
 }
 
-// WithShards sets a LocalWorker's intra-tile row parallelism (clamped to
+// WithShards sets a LocalWorker's intra-tile range parallelism (clamped to
 // GOMAXPROCS; 0 selects GOMAXPROCS).
 func WithShards(n int) LocalWorkerOption { return cluster.WithShards(n) }
-
-// NewMaster builds a pipeline master over the workers.
-func NewMaster(workers []Worker, opts ...MasterOption) (*Master, error) {
-	return cluster.NewMaster(workers, opts...)
-}
-
-// WithTileSize overrides the 128x128 fragment size.
-func WithTileSize(n int) MasterOption { return cluster.WithTileSize(n) }
-
-// WithRetries bounds tile reassignment after worker failures.
-func WithRetries(n int) MasterOption { return cluster.WithRetries(n) }
 
 // NewWorkerPool builds a long-lived scheduling pool. Add workers with
 // AddWorker, pipeline baselines with Submit, and Close when done.

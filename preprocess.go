@@ -8,8 +8,10 @@ import (
 
 // Preprocessing algorithms (the paper's contribution; internal/core).
 type (
-	// SeriesPreprocessor repairs suspected bit flips in a temporal pixel
-	// series in place.
+	// SeriesPreprocessor repairs suspected bit flips in temporal pixel
+	// series in place: ProcessSeries for one series, ProcessRange for
+	// every coordinate of a flattened pixel range of a stack. Both take
+	// optional scratch and stats.
 	SeriesPreprocessor = core.SeriesPreprocessor
 	// CubePreprocessor repairs suspected bit flips in a radiance cube in
 	// place.
@@ -37,22 +39,11 @@ type (
 	// VoteStats carries preprocessing telemetry (corrections by window,
 	// guard rejections).
 	VoteStats = core.VoteStats
-	// VoteScratch holds the reusable buffers of the allocation-free
-	// per-series preprocessing path (see ScratchPreprocessor).
+	// VoteScratch holds the reusable buffers of an allocation-free
+	// SeriesPreprocessor pass.
 	VoteScratch = core.VoteScratch
 	// CubeScratch holds the reusable buffers of a cube preprocessing pass.
 	CubeScratch = core.CubeScratch
-	// ScratchPreprocessor is a SeriesPreprocessor whose pass can run
-	// allocation-free against caller-owned scratch (AlgoNGST, Median3 and
-	// MajorityBit3 all qualify).
-	ScratchPreprocessor = core.ScratchPreprocessor
-	// PlanePreprocessor is a ScratchPreprocessor that can additionally run
-	// a plane-major (bit-sliced) pass over a flattened pixel range of a
-	// stack, one uint64 word voting 64 pixels at a time. ProcessStackWith
-	// and the cluster workers prefer this path whenever the stack depth
-	// qualifies; set NGSTConfig.ScalarOnly (or OTISConfig.ScalarOnly for
-	// cubes) to pin the classic scalar kernels instead.
-	PlanePreprocessor = core.PlanePreprocessor
 	// PlaneStack is the plane-major (bit-sliced) view of a stack window:
 	// bit b of up to 64 pixel series packs into one uint64 word per
 	// readout, the layout the plane kernels vote on.
@@ -79,9 +70,9 @@ func DefaultOTISConfig(wavelengths []float64) OTISConfig { return core.DefaultOT
 // NewAlgoOTIS validates cfg and returns the Section 7.2 algorithm.
 func NewAlgoOTIS(cfg OTISConfig) (*AlgoOTIS, error) { return core.NewAlgoOTIS(cfg) }
 
-// NewVoteScratch returns an empty scratch for the allocation-free series
-// preprocessing path (ProcessSeriesScratch). Not safe for concurrent use;
-// hold one per goroutine.
+// NewVoteScratch returns an empty scratch for allocation-free
+// SeriesPreprocessor passes. Not safe for concurrent use; hold one per
+// goroutine.
 func NewVoteScratch() *VoteScratch { return core.NewVoteScratch() }
 
 // NewCubeScratch returns an empty scratch for repeated AlgoOTIS cube
@@ -89,8 +80,10 @@ func NewVoteScratch() *VoteScratch { return core.NewVoteScratch() }
 func NewCubeScratch() *CubeScratch { return core.NewCubeScratch() }
 
 // ProcessStackWith runs a series preprocessor over every coordinate of a
-// baseline stack in place, through the plane-major stack kernel when p
-// implements PlanePreprocessor and the stack depth qualifies.
+// baseline stack in place: one ProcessRange call over the whole frame.
+// AlgoNGST takes its plane-major kernel when the depth qualifies; set
+// NGSTConfig.ScalarOnly (or OTISConfig.ScalarOnly for cubes) to pin the
+// scalar kernels instead.
 func ProcessStackWith(p SeriesPreprocessor, s *Stack) { core.ProcessStackWith(p, s) }
 
 // NewPlaneStack allocates a plane-major block holding pixels series of

@@ -1,10 +1,35 @@
 package spaceproc_test
 
 import (
+	"context"
 	"testing"
 
 	"spaceproc"
 )
+
+// newPool admits workers into a fresh WorkerPool that closes with the test
+// or benchmark.
+func newPool(tb testing.TB, workers []spaceproc.Worker, opts ...spaceproc.WorkerPoolOption) *spaceproc.WorkerPool {
+	tb.Helper()
+	p, err := spaceproc.NewWorkerPool(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(p.Close)
+	for _, w := range workers {
+		p.AddWorker(w)
+	}
+	return p
+}
+
+// submitWait submits one baseline to p and waits for its result.
+func submitWait(ctx context.Context, p *spaceproc.WorkerPool, s *spaceproc.Stack) (*spaceproc.PipelineResult, error) {
+	res := <-p.Submit(ctx, s)
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	return res, nil
+}
 
 // TestQuickstartFlow exercises the README's quickstart path end to end
 // through the public API only.
@@ -29,7 +54,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.ProcessSeries(damaged)
+	pre.ProcessSeries(damaged, nil, nil)
 	after := spaceproc.SeriesError(damaged, ideal)
 	if g := spaceproc.Gain(before, after); g < 2 {
 		t.Fatalf("quickstart gain %.2f, want > 2", g)
@@ -56,11 +81,8 @@ func TestPipelineFlowThroughFacade(t *testing.T) {
 		}
 		workers[i] = w
 	}
-	master, err := spaceproc.NewMaster(workers, spaceproc.WithTileSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := master.Run(scene.Observed)
+	pool := newPool(t, workers, spaceproc.WithPoolTileSize(32))
+	res, err := submitWait(context.Background(), pool, scene.Observed)
 	if err != nil {
 		t.Fatal(err)
 	}

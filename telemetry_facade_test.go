@@ -1,6 +1,7 @@
 package spaceproc_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,12 +39,9 @@ func TestTelemetrySnapshotLargeBaseline(t *testing.T) {
 		}
 		workers[i] = w
 	}
-	m, err := spaceproc.NewMaster(workers,
-		spaceproc.WithTileSize(128), spaceproc.WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(scene.Observed); err != nil {
+	m := newPool(t, workers,
+		spaceproc.WithPoolTileSize(128), spaceproc.WithPoolTelemetry(reg))
+	if _, err := submitWait(context.Background(), m, scene.Observed); err != nil {
 		t.Fatal(err)
 	}
 
