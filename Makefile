@@ -67,7 +67,8 @@ bench-compare:
 # fuzz-smoke gives every fuzz target a short budget of fresh inputs on
 # top of the seeded corpus the normal test run replays: the plane-kernel
 # differential fuzzers, the permutation bijectivity fuzzer, the campaign
-# site enumerator, and the codec/parser fuzzers. FUZZTIME scales the
+# site enumerator, the CR-rejection median selection against its sort
+# oracle, and the codec/parser fuzzers. FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
 # soak).
 FUZZTIME ?= 10s
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlaneSpatial$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPermBijective$$' -fuzztime $(FUZZTIME) ./internal/perm
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzMedianSelect$$' -fuzztime $(FUZZTIME) ./internal/crreject
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits

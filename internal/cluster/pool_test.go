@@ -26,6 +26,35 @@ func (w *switchWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileRes
 	return w.inner.ProcessTile(ctx, t)
 }
 
+// tripWorker fails every tile and closes tripped on its n-th failure.
+type tripWorker struct {
+	n        int32
+	failures atomic.Int32
+	tripped  chan struct{}
+}
+
+func (w *tripWorker) ProcessTile(context.Context, dataset.Tile) (TileResult, error) {
+	if w.failures.Add(1) == w.n {
+		close(w.tripped)
+	}
+	return TileResult{}, errors.New("injected persistent fault")
+}
+
+// gatedWorker holds every tile until gate closes, then delegates to inner.
+type gatedWorker struct {
+	inner Worker
+	gate  <-chan struct{}
+}
+
+func (w *gatedWorker) ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error) {
+	select {
+	case <-w.gate:
+	case <-ctx.Done():
+		return TileResult{}, ctx.Err()
+	}
+	return w.inner.ProcessTile(ctx, t)
+}
+
 // TestPoolQuarantinesAndReadmitsFailingWorker is the acceptance scenario: a
 // pool of 4 workers where one fails every tile must complete a baseline
 // bit-identical to a healthy 3-worker pool, quarantine the bad worker
@@ -142,20 +171,23 @@ func TestPoolDrainsTilesWithoutChargingRetries(t *testing.T) {
 // TestPoolQuarantinesAfterThreshold pins the breaker arithmetic: with a
 // threshold of 3, the bad worker's first two failures charge the retry
 // budget, the third trips the circuit uncharged, and every later probe
-// failure is uncharged too — so the run reports exactly 2 retries.
+// failure is uncharged too — so the run reports exactly 2 retries. The good
+// workers hold their tiles until the bad worker has failed 3 times; without
+// that gate they can finish every tile first and the count depends on
+// scheduling.
 func TestPoolQuarantinesAfterThreshold(t *testing.T) {
+	const threshold = 3
 	sc := testScene(t, 43)
 	pool, err := NewPool(WithPoolTileSize(32), WithPoolRetries(3),
-		WithBreaker(3, time.Millisecond, 10*time.Millisecond))
+		WithBreaker(threshold, time.Millisecond, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	bad := &tripWorker{n: threshold, tripped: make(chan struct{})}
 	for _, w := range localWorkers(t, 2, nil) {
-		pool.AddWorker(w)
+		pool.AddWorker(&gatedWorker{inner: w, gate: bad.tripped})
 	}
-	bad := &switchWorker{inner: nil}
-	bad.failing.Store(true)
 	badID := pool.AddWorker(bad)
 
 	res := <-pool.Submit(context.Background(), sc.Observed)
@@ -172,8 +204,8 @@ func TestPoolQuarantinesAfterThreshold(t *testing.T) {
 		if ws.State == WorkerHealthy {
 			t.Fatalf("bad worker not quarantined: %+v", ws)
 		}
-		if ws.ConsecutiveFailures < 3 {
-			t.Fatalf("consecutive failures = %d, want >= 3", ws.ConsecutiveFailures)
+		if ws.ConsecutiveFailures < threshold {
+			t.Fatalf("consecutive failures = %d, want >= %d", ws.ConsecutiveFailures, threshold)
 		}
 	}
 }

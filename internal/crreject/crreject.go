@@ -14,7 +14,7 @@ package crreject
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
 
 	"spaceproc/internal/dataset"
 )
@@ -68,12 +68,17 @@ func New(cfg Config) (*Rejector, error) {
 }
 
 // integrateScratch carries the per-series buffers of one integration pass,
-// allocated once per Integrate call and reused across every coordinate.
+// reused across every coordinate of the pass and, through scratchPool,
+// across passes.
 type integrateScratch struct {
 	ser         dataset.Series
 	vals, diffs []float64
 	abs         []float64
 }
+
+// scratchPool recycles integration scratch so a pass allocates nothing
+// beyond its output image once the pool is warm.
+var scratchPool = sync.Pool{New: func() any { return new(integrateScratch) }}
 
 func (sc *integrateScratch) grow(n int) {
 	if cap(sc.vals) < n {
@@ -85,18 +90,19 @@ func (sc *integrateScratch) grow(n int) {
 
 // Integrate collapses a baseline stack into one image, removing cosmic-ray
 // steps per coordinate, and returns the image with rejection statistics.
-// All per-series working memory is reused across coordinates, so the pass
-// allocates O(1) beyond the output image.
+// All per-series working memory is pooled, so the pass allocates nothing
+// beyond the output image.
 func (r *Rejector) Integrate(s *dataset.Stack) (*dataset.Image, Stats) {
 	w, h := s.Width(), s.Height()
 	out := dataset.NewImage(w, h)
 	var stats Stats
-	var sc integrateScratch
+	sc := scratchPool.Get().(*integrateScratch)
+	defer scratchPool.Put(sc)
 	sc.grow(s.Len())
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			sc.ser = s.SeriesAtBuf(x, y, sc.ser)
-			v, steps := r.integrateSeries(sc.ser, &sc)
+			v, steps := r.integrateSeries(sc.ser, sc)
 			out.Set(x, y, v)
 			if steps > 0 {
 				stats.Hits++
@@ -126,7 +132,7 @@ func (r *Rejector) integrateSeries(ser dataset.Series, sc *integrateScratch) (ui
 	for i := 1; i < n; i++ {
 		diffs = append(diffs, vals[i]-vals[i-1])
 	}
-	sigma := madSigma(diffs, sc.abs[:0])
+	_, sigma := madSigma(diffs, sc.abs[:0])
 	if sigma < r.cfg.SigmaFloor {
 		sigma = r.cfg.SigmaFloor
 	}
@@ -169,12 +175,13 @@ func (r *Rejector) IntegrateRamp(s *dataset.Stack) (*dataset.Image, Stats) {
 	w, h := s.Width(), s.Height()
 	out := dataset.NewImage(w, h)
 	var stats Stats
-	var sc integrateScratch
+	sc := scratchPool.Get().(*integrateScratch)
+	defer scratchPool.Put(sc)
 	sc.grow(s.Len())
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			sc.ser = s.SeriesAtBuf(x, y, sc.ser)
-			v, steps := r.integrateRampSeries(sc.ser, &sc)
+			v, steps := r.integrateRampSeries(sc.ser, sc)
 			out.Set(x, y, v)
 			if steps > 0 {
 				stats.Hits++
@@ -199,12 +206,7 @@ func (r *Rejector) integrateRampSeries(ser dataset.Series, sc *integrateScratch)
 	for i := 1; i < n; i++ {
 		diffs = append(diffs, float64(ser[i])-float64(ser[i-1]))
 	}
-	// The median reorders its input, so rank a copy (sc.vals doubles as
-	// the copy buffer) and keep diffs in readout order for the pass below.
-	medBuf := sc.vals[:len(diffs)]
-	copy(medBuf, diffs)
-	med := medianInPlace(medBuf)
-	sigma := madSigma(diffs, sc.abs[:0])
+	med, sigma := madSigma(diffs, sc.abs[:0])
 	if sigma < r.cfg.SigmaFloor {
 		sigma = r.cfg.SigmaFloor
 	}
@@ -240,27 +242,106 @@ func clampCharge(v float64) uint16 {
 	return uint16(v + 0.5)
 }
 
-// madSigma estimates the standard deviation of diffs as 1.4826 * MAD,
-// robust to the steps themselves. buf is workspace (grown as needed);
-// diffs is left untouched.
-func madSigma(diffs, buf []float64) float64 {
+// madSigma returns the median of diffs and the robust standard-deviation
+// estimate 1.4826 * MAD, which the steps themselves cannot inflate. buf is
+// workspace (grown as needed); diffs is left untouched.
+func madSigma(diffs, buf []float64) (med, sigma float64) {
 	if len(diffs) == 0 {
-		return 0
+		return 0, 0
 	}
 	abs := append(buf[:0], diffs...)
-	med := medianInPlace(abs)
+	med = medianInPlace(abs)
 	for i, v := range diffs {
 		abs[i] = math.Abs(v - med)
 	}
-	return 1.4826 * medianInPlace(abs)
+	return med, 1.4826 * medianInPlace(abs)
 }
 
-// medianInPlace returns the median of v, reordering it.
+// medianInPlace returns the median of v, reordering it: the middle order
+// statistic for an odd length, the mean of the two middle ones for an even
+// length. It selects rather than sorts, and returns exactly what a sort
+// would for the values rejection feeds it: finite, and never negative
+// zero, so equal values are equal bits.
 func medianInPlace(v []float64) float64 {
-	sort.Float64s(v)
-	n := len(v)
-	if n%2 == 1 {
-		return v[n/2]
+	k := len(v) / 2
+	upper := selectKth(v, k)
+	if len(v)%2 == 1 {
+		return upper
 	}
-	return (v[n/2-1] + v[n/2]) / 2
+	// selectKth leaves the k smallest values in v[:k]; the largest of
+	// them is the lower middle order statistic.
+	lower := v[0]
+	for _, x := range v[1:k] {
+		lower = max(lower, x)
+	}
+	return (lower + upper) / 2
+}
+
+// selectCutoff is the range length below which selectKth stops
+// partitioning and finishes with an insertion sort.
+const selectCutoff = 8
+
+// selectKth reorders v so that v[k] holds the value a full sort would put
+// there, with every value in v[:k] <= v[k] <= every value in v[k+1:], and
+// returns v[k]. It is quickselect with a median-of-three pivot; expected
+// cost is linear in len(v).
+//
+// The partition is branch-free. Which side of the pivot a noisy readout
+// difference falls on is close to a coin toss, so a branch per comparison
+// would mispredict about half the time. The 0/1 increment is computed
+// apart from the index it advances because the compiler keeps a branch for
+// a loop-carried conditional i++.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for hi-lo+1 >= selectCutoff {
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi]
+		p := max(min(a, b), min(max(a, b), c))
+		// Move the values below p to the front: v[lo:i] < p <= v[i:hi+1].
+		// p is one of the values, so i <= hi.
+		i := lo
+		for j := lo; j <= hi; j++ {
+			x := v[j]
+			v[j] = v[i]
+			v[i] = x
+			inc := 0
+			if x < p {
+				inc = 1
+			}
+			i += inc
+		}
+		if k < i {
+			hi = i - 1
+			continue
+		}
+		if i > lo {
+			lo = i
+			continue
+		}
+		// p is the range minimum. Gather its copies at the front,
+		// v[lo:m] == p, so a run of equal values cannot stall the loop.
+		m := lo
+		for j := lo; j <= hi; j++ {
+			x := v[j]
+			v[j] = v[m]
+			v[m] = x
+			inc := 0
+			if x <= p {
+				inc = 1
+			}
+			m += inc
+		}
+		if k < m {
+			return p
+		}
+		lo = m
+	}
+	for i := lo + 1; i <= hi; i++ {
+		x := v[i]
+		j := i
+		for ; j > lo && x < v[j-1]; j-- {
+			v[j] = v[j-1]
+		}
+		v[j] = x
+	}
+	return v[k]
 }

@@ -1,7 +1,6 @@
 package crreject
 
 import (
-	"math"
 	"testing"
 
 	"spaceproc/internal/dataset"
@@ -178,15 +177,37 @@ func TestIntegrateEmptyAndTiny(t *testing.T) {
 }
 
 func TestMadSigma(t *testing.T) {
-	if got := madSigma(nil, nil); got != 0 {
-		t.Fatalf("empty madSigma = %v", got)
+	cases := []struct {
+		name       string
+		diffs      []float64
+		med, sigma float64
+	}{
+		{"empty", nil, 0, 0},
+		// MAD of {-1,0,1} is 1, so sigma is the bare 1.4826 scale.
+		{"odd", []float64{-1, 0, 1}, 0, 1.4826},
+		{"even", []float64{4, 1, 3, 2}, 2.5, 1.4826},
+		// One huge outlier moves neither estimate.
+		{"outlier", []float64{-1, 0, 1, 0, -1, 1e9}, 0, 1.4826},
+		{"all equal odd", []float64{7, 7, 7, 7, 7}, 7, 0},
+		{"all equal even", []float64{-3, -3, -3, -3, -3, -3}, -3, 0},
+		{"all negative odd", []float64{-9, -2, -4}, -4, 1.4826 * 2},
+		{"all negative even", []float64{-5, -3, -8, -1}, -4, 1.4826 * 2},
 	}
-	// Standard normal-ish spread: MAD of {-1,0,1} = 1 -> sigma ~1.48.
-	if got := madSigma([]float64{-1, 0, 1}, nil); math.Abs(got-1.4826) > 1e-9 {
-		t.Fatalf("madSigma = %v", got)
-	}
-	// Robust to one huge outlier.
-	if got := madSigma([]float64{-1, 0, 1, 0, -1, 1e9}, nil); got > 3 {
-		t.Fatalf("madSigma not robust: %v", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := append([]float64(nil), tc.diffs...)
+			med, sigma := madSigma(in, nil)
+			if med != tc.med || sigma != tc.sigma {
+				t.Fatalf("madSigma = (%v, %v), want (%v, %v)", med, sigma, tc.med, tc.sigma)
+			}
+			if oMed, oSigma := madSigmaOracle(tc.diffs); med != oMed || sigma != oSigma {
+				t.Fatalf("madSigma = (%v, %v), sort oracle (%v, %v)", med, sigma, oMed, oSigma)
+			}
+			for i := range in {
+				if in[i] != tc.diffs[i] {
+					t.Fatalf("madSigma reordered its input: %v", in)
+				}
+			}
+		})
 	}
 }
