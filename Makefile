@@ -84,7 +84,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits
 	$(GO) test -run '^$$' -fuzz '^FuzzSanityCheck$$' -fuzztime $(FUZZTIME) ./internal/fits
 
-# e2e-smoke boots the real binaries — one spaceprocd, then a 3-daemon
+# e2e-smoke boots the real binaries — ngstsim with and without TCP worker
+# nodes (identical science lines required), one spaceprocd, then a 3-daemon
 # fleet behind spaceproc-router with one node killed and readmitted
 # mid-run — drives them with loadgen (bit-identical verification on),
 # and SIGTERMs everything expecting clean drains. See

@@ -5,8 +5,9 @@
 // the relative error against the fault-free pipeline output, the rejection
 // statistics, and the downlink compression ratio.
 //
-// With -tcp the workers are served over loopback TCP (the Myrinet
-// stand-in) instead of running in process.
+// With -tcp each worker runs as a serve daemon over loopback TCP (the
+// Myrinet stand-in) and the pool dispatches tiles to it through a serve
+// client, instead of running the workers in process.
 package main
 
 import (
@@ -45,7 +46,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	lambda := fs.Int("sensitivity", 80, "preprocessing sensitivity Lambda (0 disables the pixel pass)")
 	upsilon := fs.Int("upsilon", 4, "neighbors consulted per pixel")
 	noPre := fs.Bool("no-preprocess", false, "disable input preprocessing")
-	tcp := fs.Bool("tcp", false, "serve workers over loopback TCP")
+	tcp := fs.Bool("tcp", false, "serve workers over loopback TCP as serve daemons")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	showMetrics := fs.Bool("metrics", false, "print the pipeline telemetry snapshot after the run")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON artifact to this file")
@@ -91,6 +92,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintln(out, "preprocessing: disabled")
 	}
 
+	// nodeRegs holds the flight pool's TCP nodes' registries: each node
+	// traces into its own, like a separate slave process would, and the
+	// -trace artifact gathers them afterwards.
+	var nodeRegs []*spaceproc.TelemetryRegistry
+
 	// buildPool assembles a worker pool; instrument wires the flight
 	// pool's logging and telemetry (the reference pool stays dark so
 	// pipeline_* metrics count only the measured path). The returned
@@ -123,24 +129,38 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				pool.AddWorker(lw)
 				continue
 			}
-			srvOpts := []spaceproc.WorkerServerOption{spaceproc.WithWorkerServerLogger(logger)}
-			if reg != nil {
-				srvOpts = append(srvOpts, spaceproc.WithWorkerServerTelemetry(reg))
+			// One tile per connection is in flight, so the node has
+			// nothing to batch.
+			nodeOpts := []spaceproc.ServeOption{
+				spaceproc.WithServeBatching(1, 0), spaceproc.WithServeLogger(logger)}
+			var nodeReg *spaceproc.TelemetryRegistry
+			if instrument && reg != nil {
+				nodeReg = spaceproc.NewTelemetryRegistry()
+				nodeOpts = append(nodeOpts, spaceproc.WithServeTelemetry(nodeReg))
 			}
-			srv := spaceproc.NewWorkerServer(lw, srvOpts...)
-			addr, err := srv.Listen("127.0.0.1:0")
+			node, err := spaceproc.NewDaemon(spaceproc.WorkerBackend(lw), nodeOpts...)
 			if err != nil {
 				cleanup()
 				return nil, nil, err
 			}
-			rw, err := spaceproc.DialWorker(addr)
+			addr, err := node.Listen("127.0.0.1:0")
 			if err != nil {
-				srv.Close()
+				node.Close()
 				cleanup()
 				return nil, nil, err
 			}
-			pool.AddWorker(rw)
-			cleanups = append(cleanups, func() { rw.Close(); srv.Close() })
+			if nodeReg != nil {
+				nodeReg.Tracer().SetProc("worker " + addr)
+				nodeRegs = append(nodeRegs, nodeReg)
+			}
+			client, err := spaceproc.Dial(addr)
+			if err != nil {
+				node.Close()
+				cleanup()
+				return nil, nil, err
+			}
+			pool.AddWorker(client)
+			cleanups = append(cleanups, func() { client.Close(); node.Close() })
 		}
 		return pool, cleanup, nil
 	}
@@ -208,6 +228,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, reg.Snapshot().Render())
 	}
 	if *traceOut != "" {
+		// One artifact: the nodes' serve spans already carry the run's
+		// trace ID and their own proc, so they join the master's as is.
+		for _, nr := range nodeRegs {
+			for _, ev := range nr.Tracer().Events() {
+				reg.Tracer().Record(ev)
+			}
+		}
 		if err := reg.Tracer().WriteTraceFile(*traceOut); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}

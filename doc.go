@@ -36,13 +36,12 @@
 // p50/p95/p99 summaries, and pipeline_* counters; AlgoNGST.Instrument and
 // AlgoOTIS.Instrument feed the preprocessing correction counters
 // (preprocess_*) into the same registry; MissionConfig.Telemetry adds
-// per-baseline stage timings. A TCP worker started with
-// WithWorkerServerSidecar serves /metrics, /healthz and /debug/pprof/
-// over HTTP next to its worker port; NewTelemetryServer does the same for
-// any registry. Workers implement ProcessTile(ctx, tile): context
-// deadlines and cancellation propagate through the master and across the
-// gob transport to the serving node. Uninstrumented pipelines pay
-// nothing.
+// per-baseline stage timings. NewTelemetryServer serves /metrics,
+// /healthz, /debug/trace and /debug/pprof/ over HTTP for any registry,
+// including a TCP worker node's (a ServeDaemon over WorkerBackend).
+// Workers implement ProcessTile(ctx, tile): context deadlines and
+// cancellation propagate through the master and across the serve wire
+// header to the serving node. Uninstrumented pipelines pay nothing.
 //
 // The experiment harness that regenerates every figure in the paper's
 // evaluation lives in cmd/experiments; see DESIGN.md for the system

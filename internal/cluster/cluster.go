@@ -5,9 +5,11 @@
 // cosmic-ray rejection, reintegrates the processed fragments, and
 // Rice-compresses the result for downlink.
 //
-// Two transports are provided: an in-process pool (goroutines) and a
-// TCP/gob transport (see transport.go) standing in for the Myrinet
-// interconnect. The master role is the long-lived Pool (see pool.go):
+// Workers run in process (LocalWorker, AdaptiveWorker). The TCP
+// interconnect standing in for Myrinet lives in internal/serve: a slave
+// node is a serve.Server over serve.WorkerBackend, and the master holds a
+// *serve.Client per node, which is itself a Worker. The master role is
+// the long-lived Pool (see pool.go):
 // workers join and leave at runtime, a circuit breaker quarantines nodes
 // that keep failing, and a bounded shared queue pipelines many baselines
 // concurrently.
@@ -51,8 +53,10 @@ type TileResult struct {
 type Worker interface {
 	// ProcessTile preprocesses and integrates a tile. Implementations
 	// honor ctx cancellation and deadlines: the in-process workers poll
-	// ctx between pixel chunks, and the TCP transport propagates the
-	// deadline to the remote node.
+	// ctx between pixel chunks, and the serve client propagates the
+	// deadline to the remote node. An error caused by ctx must wrap
+	// ctx.Err(), so the pool can tell an abandoned run from a faulty
+	// worker.
 	ProcessTile(ctx context.Context, t dataset.Tile) (TileResult, error)
 }
 

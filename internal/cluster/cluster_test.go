@@ -303,106 +303,3 @@ func TestLocalWorkerRejectsEmptyTile(t *testing.T) {
 		t.Fatal("empty tile should error")
 	}
 }
-
-func TestTCPTransportRoundTrip(t *testing.T) {
-	inner, err := NewLocalWorker(nil, crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(inner)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	sc := testScene(t, 7)
-	m := testPool(t, []Worker{remote}, WithPoolTileSize(32))
-	res, err := submitWait(context.Background(), m, sc.Observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rej, err := crreject.New(crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := rej.Integrate(sc.Observed)
-	for i := range want.Pix {
-		if res.Image.Pix[i] != want.Pix[i] {
-			t.Fatalf("TCP pipeline image differs at %d", i)
-		}
-	}
-}
-
-func TestTCPWorkerSurvivesServerRestart(t *testing.T) {
-	inner, err := NewLocalWorker(nil, crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(inner)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	sc := testScene(t, 8)
-	tiles, err := dataset.Fragment(sc.Observed, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := remote.ProcessTile(context.Background(), tiles[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the connection server-side; the next call must fail, and the
-	// one after must succeed on a fresh server at the same address.
-	srv.Close()
-	if _, err := remote.ProcessTile(context.Background(), tiles[1]); err == nil {
-		t.Fatal("call against closed server should fail")
-	}
-	srv2 := NewServer(inner)
-	addr2, err := srv2.Listen(addr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	if addr2 != addr {
-		t.Skipf("rebound to different address %s", addr2)
-	}
-	if _, err := remote.ProcessTile(context.Background(), tiles[1]); err != nil {
-		t.Fatalf("re-dial after restart failed: %v", err)
-	}
-}
-
-func TestRemoteWorkerReportsRemoteErrors(t *testing.T) {
-	srv := NewServer(&flakyWorker{failures: 1 << 30})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	sc := testScene(t, 9)
-	tiles, err := dataset.Fragment(sc.Observed, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := remote.ProcessTile(context.Background(), tiles[0]); err == nil {
-		t.Fatal("remote error should propagate")
-	}
-}

@@ -515,18 +515,24 @@ func (sub *submission) finalize() {
 		Image:   dataset.NewImage(sub.width, sub.height),
 		Retries: int(sub.retried.Load()),
 	}
-	count := 0
+	// Merge in tile order, not completion order: PreStats.WindowCBit is a
+	// most-recent value, so the aggregate must not depend on which worker
+	// finished last.
+	results := make([]TileResult, 0, sub.tiles)
 	for res := range sub.results {
+		results = append(results, res)
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
+	for _, res := range results {
 		blitSpan := p.tel.StartSpan(StageBlit, fmt.Sprintf("tile_%d", res.Index))
 		blit(out.Image, res)
 		blitSpan.End()
 		out.Stats.Hits += res.Stats.Hits
 		out.Stats.Steps += res.Stats.Steps
 		out.PreStats.Add(res.PreStats)
-		count++
 	}
-	if count != sub.tiles {
-		sub.deliver(&Result{Err: fmt.Errorf("cluster: reassembled %d of %d tiles", count, sub.tiles)})
+	if len(results) != sub.tiles {
+		sub.deliver(&Result{Err: fmt.Errorf("cluster: reassembled %d of %d tiles", len(results), sub.tiles)})
 		return
 	}
 	compSpan := p.tel.StartSpan(StageCompress, "baseline")

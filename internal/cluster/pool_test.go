@@ -295,62 +295,3 @@ func TestPoolDynamicMembership(t *testing.T) {
 		t.Fatalf("membership after churn = %v, want [w1 w3 w4]", got)
 	}
 }
-
-// TestRemoteWorkerReconnectsWithBackoff covers the transport layer's
-// reconnect: after the server dies mid-session (failing the in-flight
-// exchange), a replacement listener that comes up a beat later is found by
-// the proxy's backoff dial loop on the next call.
-func TestRemoteWorkerReconnectsWithBackoff(t *testing.T) {
-	sc := testScene(t, 46)
-	tiles, err := dataset.Fragment(sc.Observed, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := localWorkers(t, 1, nil)[0]
-	srv := NewServer(inner)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Dial(addr, WithDialBackoff(6, 10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := w.ProcessTile(context.Background(), cloneTile(tiles[0])); err != nil {
-		t.Fatal(err)
-	}
-
-	srv.Close()
-	// The exchange against the dead server must fail (at-most-once: the
-	// proxy never silently replays a tile on a fresh connection).
-	if _, err := w.ProcessTile(context.Background(), cloneTile(tiles[1])); err == nil {
-		t.Fatal("exchange against a closed server should fail")
-	}
-
-	// Bring a replacement up on the same address after a delay shorter than
-	// the proxy's total backoff window.
-	rebind := make(chan error, 1)
-	srv2ch := make(chan *Server, 1)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		srv2 := NewServer(inner)
-		if _, err := srv2.Listen(addr); err != nil {
-			rebind <- err
-			return
-		}
-		srv2ch <- srv2
-		rebind <- nil
-	}()
-	res, err := w.ProcessTile(context.Background(), cloneTile(tiles[1]))
-	if rerr := <-rebind; rerr != nil {
-		t.Skipf("could not rebind %s: %v", addr, rerr)
-	}
-	defer (<-srv2ch).Close()
-	if err != nil {
-		t.Fatalf("proxy did not reconnect through backoff: %v", err)
-	}
-	if res.Index != tiles[1].Index {
-		t.Fatalf("reconnected exchange returned tile %d, want %d", res.Index, tiles[1].Index)
-	}
-}

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -111,68 +109,5 @@ func TestRunReportsEveryFailure(t *testing.T) {
 	// 64x64 at 32-pixel tiles: all four tiles fail and must all be named.
 	if got := strings.Count(err.Error(), "failed permanently"); got != 4 {
 		t.Fatalf("error names %d failed tiles, want 4:\n%v", got, err)
-	}
-}
-
-// TestServerSidecarServesObservability spins up a TCP worker with the HTTP
-// sidecar and checks /metrics, /healthz and /debug/pprof/ respond.
-func TestServerSidecarServesObservability(t *testing.T) {
-	sc := testScene(t, 24)
-	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(lw, WithSidecar("127.0.0.1:0"))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.Telemetry() == nil {
-		t.Fatal("sidecar should imply a registry")
-	}
-
-	rw, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rw.Close()
-	m := testPool(t, []Worker{rw}, WithPoolTileSize(32))
-	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
-		t.Fatal(err)
-	}
-
-	scAddr := srv.SidecarAddr()
-	if scAddr == "" {
-		t.Fatal("sidecar address empty after Listen")
-	}
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + scAddr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	metrics := get("/metrics")
-	if !strings.Contains(metrics, "counter server_requests_total 4") {
-		t.Fatalf("/metrics missing served-request count:\n%s", metrics)
-	}
-	if !strings.Contains(metrics, "spans serve 4") {
-		t.Fatalf("/metrics missing serve spans:\n%s", metrics)
-	}
-	if body := get("/healthz"); !strings.Contains(body, `"status":"ok"`) {
-		t.Fatalf("/healthz body %q", body)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/ unexpected body %q", body)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"spaceproc/internal/crreject"
 	"spaceproc/internal/telemetry"
 )
 
@@ -36,81 +35,7 @@ func rootTraceID(t *testing.T, reg *telemetry.Registry) uint64 {
 	return id
 }
 
-// TestTracePropagationOverTCP runs the pipeline against workers served
-// over real loopback TCP, each holding its own registry as a stand-in for
-// a separate slave-node process, and asserts that the worker-side serve
-// spans carry the master's trace ID — both in the worker's own tracer and
-// folded back into the master's artifact.
-func TestTracePropagationOverTCP(t *testing.T) {
-	sc := testScene(t, 11)
-	masterReg := telemetry.NewRegistry()
-	workerReg := telemetry.NewRegistry()
-
-	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(lw, WithServerTelemetry(workerReg))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	m := testPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolTelemetry(masterReg))
-	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
-		t.Fatal(err)
-	}
-
-	masterTrace := rootTraceID(t, masterReg)
-	byStage := traceEvents(t, masterReg)
-	if len(byStage[StageRun]) != 1 {
-		t.Fatalf("want 1 run span, got %d", len(byStage[StageRun]))
-	}
-	// 64x64 / 32 = 4 tiles, each dispatched, processed, and served.
-	for _, stage := range []string{StageDispatch, StageProcess, "serve"} {
-		if len(byStage[stage]) != 4 {
-			t.Fatalf("want 4 %s spans in the master artifact, got %d", stage, len(byStage[stage]))
-		}
-	}
-
-	// The folded-back serve spans are children of the master's process
-	// spans: same trace, parented on the span ID the request carried.
-	procByID := map[uint64]telemetry.TraceEvent{}
-	for _, ev := range byStage[StageProcess] {
-		procByID[ev.SpanID] = ev
-	}
-	for _, serve := range byStage["serve"] {
-		if serve.TraceID != masterTrace {
-			t.Fatalf("serve span trace %016x != master trace %016x", serve.TraceID, masterTrace)
-		}
-		if _, ok := procByID[serve.ParentID]; !ok {
-			t.Fatalf("serve span parent %016x is not a master process span", serve.ParentID)
-		}
-		if serve.Proc == "master" || serve.Proc == "" {
-			t.Fatalf("serve span proc %q, want the worker's identity", serve.Proc)
-		}
-	}
-
-	// The worker's own registry holds the same spans under the same trace:
-	// a slave node's local artifact joins the master's on trace ID.
-	workerServe := traceEvents(t, workerReg)["serve"]
-	if len(workerServe) != 4 {
-		t.Fatalf("want 4 serve spans in the worker registry, got %d", len(workerServe))
-	}
-	for _, serve := range workerServe {
-		if serve.TraceID != masterTrace {
-			t.Fatalf("worker-side serve trace %016x != master trace %016x", serve.TraceID, masterTrace)
-		}
-	}
-}
-
-// TestTraceRetryChildSpans drives retries through the remote path and
+// TestTraceRetryChildSpans drives retries through a flaky worker and
 // asserts the causal chain the tracing layer promises: the retry span is a
 // child of the failed dispatch, and the requeued attempt's dispatch span
 // parents under the originating dispatch rather than starting a new tree.
@@ -118,23 +43,8 @@ func TestTraceRetryChildSpans(t *testing.T) {
 	sc := testScene(t, 12)
 	reg := telemetry.NewRegistry()
 
-	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(&flakyWorker{inner: lw, failures: 2})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	m := testPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolRetries(3), WithPoolTelemetry(reg))
+	flaky := &flakyWorker{inner: localWorkers(t, 1, nil)[0], failures: 2}
+	m := testPool(t, []Worker{flaky}, WithPoolTileSize(32), WithPoolRetries(3), WithPoolTelemetry(reg))
 	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
 		t.Fatal(err)
 	}
@@ -189,47 +99,5 @@ func TestTraceRetryChildSpans(t *testing.T) {
 	}
 	if requeues != 2 {
 		t.Fatalf("want 2 requeued dispatch spans, got %d", requeues)
-	}
-}
-
-// TestTraceSharedRegistryDedup covers the single-process TCP topology the
-// cmd binaries use (one registry wired into both the master and the
-// worker servers): the serve span is recorded once by the server and once
-// when the response folds back, and must appear once in the artifact.
-func TestTraceSharedRegistryDedup(t *testing.T) {
-	sc := testScene(t, 13)
-	reg := telemetry.NewRegistry()
-
-	lw, err := NewLocalWorker(nil, crreject.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(lw, WithServerTelemetry(reg))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	m := testPool(t, []Worker{remote}, WithPoolTileSize(32), WithPoolTelemetry(reg))
-	if _, err := submitWait(context.Background(), m, sc.Observed); err != nil {
-		t.Fatal(err)
-	}
-
-	serves := traceEvents(t, reg)["serve"]
-	if len(serves) != 4 {
-		t.Fatalf("want 4 deduplicated serve spans, got %d", len(serves))
-	}
-	seen := map[uint64]bool{}
-	for _, ev := range serves {
-		if seen[ev.SpanID] {
-			t.Fatalf("serve span %016x recorded twice", ev.SpanID)
-		}
-		seen[ev.SpanID] = true
 	}
 }

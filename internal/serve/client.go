@@ -26,7 +26,8 @@ const (
 	DefaultRetryBackoff    = 25 * time.Millisecond
 	DefaultRetryBackoffMax = 1 * time.Second
 	// DefaultClientDialAttempts and DefaultClientDialBackoff bound the
-	// reconnect loop, mirroring cluster.WithDialBackoff.
+	// reconnect loop: dials per connect, and the first sleep between
+	// them, doubling per attempt.
 	DefaultClientDialAttempts = 3
 	DefaultClientDialBackoff  = 20 * time.Millisecond
 )
@@ -64,9 +65,10 @@ type clientNode struct {
 // Client is the Go client for a serve.Server or Router: one connection,
 // sequential requests, bounded exponential-backoff retries over sheds
 // (honoring the server's retry-after hint as the floor) and transport
-// faults (re-dialing with its own bounded backoff, the
-// cluster.WithDialBackoff pattern). Open several clients for parallel
-// submissions.
+// faults (re-dialing with its own bounded backoff, see
+// WithClientDialBackoff). Open several clients for parallel submissions.
+// Against a WorkerBackend node a Client is also a cluster.Worker (see
+// ProcessTile).
 //
 // A fleet-aware client (DialFleet) holds the same consistent-hash ring a
 // router would and dials the member owning its client ID, failing over

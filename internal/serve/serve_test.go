@@ -561,35 +561,52 @@ func TestInvalidHeaderAnsweredInline(t *testing.T) {
 }
 
 // TestFrameMismatchRejected proves a frame that contradicts its header is
-// answered with StatusError.
+// answered with StatusError before it reaches the backend, and that the
+// server still serves a valid request on a new connection. The last row
+// is the input that crashed the retired gob tile protocol: a frame that
+// claims the header's 8x8 but carries 4 pixels, sent to a worker node
+// whose AlgoNGST worker would index past the end of it.
 func TestFrameMismatchRejected(t *testing.T) {
-	fb := &fakeBackend{}
-	_, addr := startServer(t, fb)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&header{Frames: 1, Width: 8, Height: 8}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusAccepted {
-		t.Fatalf("want accepted, got %v", resp.Status)
-	}
-	if err := enc.Encode(dataset.NewImage(4, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusError {
-		t.Fatalf("want StatusError, got %v", resp.Status)
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		frame   *dataset.Image
+	}{
+		{"smaller frame", &fakeBackend{}, dataset.NewImage(4, 4)},
+		{"short pixels on a worker node", WorkerBackend(ngstWorker(t)),
+			&dataset.Image{Width: 8, Height: 8, Pix: make([]uint16, 4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := startServer(t, tc.backend, WithBatching(1, 0))
+			_, enc, dec := rawConn(t, addr)
+			if err := enc.Encode(&header{Frames: 1, Width: 8, Height: 8}); err != nil {
+				t.Fatal(err)
+			}
+			var resp response
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != StatusAccepted {
+				t.Fatalf("want accepted, got %v", resp.Status)
+			}
+			if err := enc.Encode(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != StatusError {
+				t.Fatalf("want StatusError, got %v", resp.Status)
+			}
+
+			res, err := dialClient(t, addr).Process(context.Background(), testStack(8, 8, 8))
+			if err != nil {
+				t.Fatalf("server stopped serving after the bad frame: %v", err)
+			}
+			if res.Image == nil || res.Image.Width != 8 || res.Image.Height != 8 {
+				t.Fatalf("served image %+v, want 8x8", res.Image)
+			}
+		})
 	}
 }
 

@@ -15,11 +15,13 @@ import (
 
 // Distributed tracing. A TraceContext names one causal chain of work (a
 // baseline flowing through the Figure 1 pipeline); it is minted by the
-// mission layer or the cluster master, attached to every tile dispatch,
-// carried over the gob transport, and continued on the serving node, so a
-// retry on worker 12 or a deadline expiry on a remote slave shows up as a
-// child span of the dispatch that caused it. Completed spans accumulate in
-// a Tracer's bounded buffer and export as Chrome trace-event JSON
+// mission layer, the cluster master or a serve client, attached to every
+// tile dispatch, carried in the serve wire header, and continued on the
+// serving node, so a retry on worker 12 or a deadline expiry on a remote
+// slave shows up as a child span of the dispatch that caused it. Each
+// process records its own spans into its own Tracer; artifacts from
+// several processes join on trace ID. Completed spans accumulate in a
+// Tracer's bounded buffer and export as Chrome trace-event JSON
 // (chrome://tracing / Perfetto loadable).
 //
 // Identifiers come from internal/rng (PCG), not from wall clocks or
@@ -29,8 +31,7 @@ import (
 
 // TraceContext identifies a position in one trace: the trace itself and
 // the span that current work should parent under. The zero value is
-// invalid (no trace). Fields are exported so the context survives gob
-// encoding on the cluster transport.
+// invalid (no trace).
 type TraceContext struct {
 	// TraceID names the causal chain (one baseline run).
 	TraceID uint64
@@ -119,10 +120,6 @@ type Tracer struct {
 	filled  bool
 	dropped int64
 	proc    string
-	// seen dedupes by span ID (bounded by the ring): when a master and a
-	// slave server share one process — and therefore one registry — a
-	// serve span arrives both locally and folded back over the transport.
-	seen map[uint64]struct{}
 }
 
 // NewTracer returns a tracer with the given buffer capacity (minimum 1).
@@ -134,7 +131,7 @@ func NewTracer(capacity int, proc string) *Tracer {
 	if proc == "" {
 		proc = "main"
 	}
-	return &Tracer{buf: make([]TraceEvent, 0, capacity), proc: proc, seen: make(map[uint64]struct{})}
+	return &Tracer{buf: make([]TraceEvent, 0, capacity), proc: proc}
 }
 
 // SetProc renames the tracer's process label for subsequent events.
@@ -154,20 +151,12 @@ func (t *Tracer) Record(ev TraceEvent) {
 		return
 	}
 	t.mu.Lock()
-	if ev.SpanID != 0 {
-		if _, dup := t.seen[ev.SpanID]; dup {
-			t.mu.Unlock()
-			return
-		}
-		t.seen[ev.SpanID] = struct{}{}
-	}
 	if ev.Proc == "" {
 		ev.Proc = t.proc
 	}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
 	} else {
-		delete(t.seen, t.buf[t.next].SpanID)
 		t.buf[t.next] = ev
 		t.next++
 		if t.next == cap(t.buf) {

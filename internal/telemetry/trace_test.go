@@ -107,26 +107,6 @@ func TestTracerRingBound(t *testing.T) {
 	}
 }
 
-func TestTracerDedupesBySpanID(t *testing.T) {
-	tr := NewTracer(8, "test")
-	ev := TraceEvent{TraceID: 1, SpanID: 42, Stage: "serve"}
-	tr.Record(ev)
-	tr.Record(ev) // folded back over the transport into the same registry
-	if n := len(tr.Events()); n != 1 {
-		t.Fatalf("duplicate span recorded %d times", n)
-	}
-	// Eviction must free the dedup slot so the map stays bounded.
-	small := NewTracer(2, "test")
-	small.Record(TraceEvent{SpanID: 1})
-	small.Record(TraceEvent{SpanID: 2})
-	small.Record(TraceEvent{SpanID: 3}) // evicts span 1
-	small.Record(TraceEvent{SpanID: 1}) // no longer a duplicate
-	events := small.Events()
-	if len(events) != 2 || events[0].SpanID != 3 || events[1].SpanID != 1 {
-		t.Fatalf("eviction left dedup state stale: %+v", events)
-	}
-}
-
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Record(TraceEvent{SpanID: 1})

@@ -22,10 +22,6 @@ type (
 	PipelineResult = cluster.Result
 	// TileResult is a worker's output for one tile.
 	TileResult = cluster.TileResult
-	// WorkerServer exposes a Worker over TCP (the Myrinet stand-in).
-	WorkerServer = cluster.Server
-	// RemoteWorker is the master-side proxy for a TCP worker.
-	RemoteWorker = cluster.RemoteWorker
 	// CostModel maps sensitivity levels to measured per-series costs.
 	CostModel = cluster.CostModel
 	// AdaptiveWorker preprocesses each tile at the highest sensitivity
@@ -42,8 +38,6 @@ type (
 	WorkerStatus = cluster.WorkerStatus
 	// WorkerState is a worker's circuit-breaker state.
 	WorkerState = cluster.WorkerState
-	// DialOption configures a RemoteWorker's reconnect behavior.
-	DialOption = cluster.DialOption
 )
 
 // Circuit-breaker states reported by WorkerPool.Workers.
@@ -83,24 +77,6 @@ func WithQueueDepth(n int) WorkerPoolOption { return cluster.WithQueueDepth(n) }
 // threshold consecutive failures, backing off from base up to max.
 func WithBreaker(threshold int, base, max time.Duration) WorkerPoolOption {
 	return cluster.WithBreaker(threshold, base, max)
-}
-
-// NewWorkerServer exposes a worker over TCP, optionally with telemetry and
-// an observability sidecar (see WorkerServerOption).
-func NewWorkerServer(w Worker, opts ...WorkerServerOption) *WorkerServer {
-	return cluster.NewServer(w, opts...)
-}
-
-// DialWorker connects the master to a TCP worker; the proxy re-dials with
-// backoff when the connection drops (see WithDialBackoff).
-func DialWorker(addr string, opts ...DialOption) (*RemoteWorker, error) {
-	return cluster.Dial(addr, opts...)
-}
-
-// WithDialBackoff tunes a RemoteWorker's reconnect loop: attempts dials
-// per connect, sleeping base (doubling each attempt) between them.
-func WithDialBackoff(attempts int, base time.Duration) DialOption {
-	return cluster.WithDialBackoff(attempts, base)
 }
 
 // Cosmic-ray rejection (the NGST application; internal/crreject).

@@ -1,9 +1,15 @@
 #!/usr/bin/env sh
-# End-to-end smoke of the serving layer against the real binaries, in two
+# End-to-end smoke of the serving layer against the real binaries, after
+# building spaceprocd + spaceproc-router + loadgen + ngstsim, in three
 # scenarios:
 #
+# TCP worker nodes:
+#   1. run ngstsim on one 128x128 burst-fault baseline twice, with
+#      in-process workers and with -tcp (each worker a serve daemon over
+#      WorkerBackend), and require identical cosmic-ray, preprocessing
+#      telemetry, downlink and relative-error lines
+#
 # Single daemon:
-#   1. build spaceprocd + spaceproc-router + loadgen
 #   2. boot the daemon on a free port
 #   3. drive one verified loadgen pass (-verify checks every served
 #      result bit-identical to an in-process run of the same pipeline)
@@ -81,6 +87,27 @@ echo "== building binaries"
 go build -o "$workdir/spaceprocd" ./cmd/spaceprocd
 go build -o "$workdir/spaceproc-router" ./cmd/spaceproc-router
 go build -o "$workdir/loadgen" ./cmd/loadgen
+go build -o "$workdir/ngstsim" ./cmd/ngstsim
+
+echo "== ngstsim: TCP worker nodes match in-process workers"
+ngst_flags="-width 128 -height 128 -readouts 16 -tile 32 -workers 2 -fault burst"
+science='^(cosmic rays|preprocessing telemetry|downlink|relative error)'
+# shellcheck disable=SC2086 # ngst_flags is a word list
+"$workdir/ngstsim" $ngst_flags >"$workdir/ngst_local.txt"
+# shellcheck disable=SC2086
+"$workdir/ngstsim" $ngst_flags -tcp >"$workdir/ngst_tcp.txt"
+grep -E "$science" "$workdir/ngst_local.txt" >"$workdir/ngst_local.science"
+grep -E "$science" "$workdir/ngst_tcp.txt" >"$workdir/ngst_tcp.science"
+if [ "$(wc -l <"$workdir/ngst_local.science")" -ne 4 ]; then
+    echo "ngstsim printed no full science report:" >&2
+    cat "$workdir/ngst_local.txt" >&2
+    exit 1
+fi
+if ! diff "$workdir/ngst_local.science" "$workdir/ngst_tcp.science"; then
+    echo "ngstsim -tcp science lines differ from the in-process run" >&2
+    exit 1
+fi
+cat "$workdir/ngst_tcp.science"
 
 echo "== booting spaceprocd"
 "$workdir/spaceprocd" -addr 127.0.0.1:0 -workers 4 -tile 32 \

@@ -105,6 +105,12 @@ func NewRouterWith(cfg ServeConfig) (*ServeRouter, error) {
 	return serve.NewRouterWith(cfg)
 }
 
+// WorkerBackend adapts one Worker into a ServeBackend, so a ServeDaemon
+// over it is a Figure 1 worker node: each admitted stack runs as one tile
+// with no Rice pass. A ServeClient dialed to such a node is itself a
+// Worker (ServeClient.ProcessTile) and joins a WorkerPool directly.
+func WorkerBackend(w Worker) ServeBackend { return serve.WorkerBackend(w) }
+
 // Dial connects a ServeClient to a daemon or router.
 func Dial(addr string, opts ...ServeOption) (*ServeClient, error) {
 	return serve.DialClient(addr, opts...)

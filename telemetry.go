@@ -11,7 +11,7 @@ import (
 )
 
 // Pipeline observability (internal/telemetry): a dependency-free metrics
-// registry the cluster master, TCP workers, preprocessing algorithms, and
+// registry the cluster master, serve nodes, preprocessing algorithms, and
 // the mission runner all report into — counters, gauges, latency
 // histograms with quantile summaries, and a per-stage span trace. The
 // registry is passive until wired in; uninstrumented pipelines pay
@@ -54,8 +54,6 @@ type (
 	// endpoints and serves per-node plus fleet-merged views
 	// (/fleet/metrics, /fleet/healthz).
 	TelemetryAggregator = telemetry.Aggregator
-	// WorkerServerOption configures a WorkerServer.
-	WorkerServerOption = cluster.ServerOption
 	// AdaptiveConfig parameterizes an AdaptiveWorker.
 	AdaptiveConfig = cluster.AdaptiveConfig
 )
@@ -88,17 +86,6 @@ func WithPoolTelemetry(reg *TelemetryRegistry) WorkerPoolOption {
 // diagnostics into l.
 func WithPoolLogger(l *slog.Logger) WorkerPoolOption { return cluster.WithPoolLogger(l) }
 
-// WithWorkerServerTelemetry instruments a WorkerServer's request counters
-// and serve latency.
-func WithWorkerServerTelemetry(reg *TelemetryRegistry) WorkerServerOption {
-	return cluster.WithServerTelemetry(reg)
-}
-
-// WithWorkerServerSidecar serves the observability HTTP surface
-// (/metrics, /healthz, /debug/pprof/) on addr while the worker listener is
-// up.
-func WithWorkerServerSidecar(addr string) WorkerServerOption { return cluster.WithSidecar(addr) }
-
 // NewTelemetryServer serves reg's observability surface on addr
 // ("127.0.0.1:0" picks a free port; see TelemetryServer.Addr).
 func NewTelemetryServer(reg *TelemetryRegistry, addr string) (*TelemetryServer, error) {
@@ -130,7 +117,7 @@ func DefaultAdaptiveConfig(model CostModel) AdaptiveConfig {
 func NewAdaptive(cfg AdaptiveConfig) (*AdaptiveWorker, error) { return cluster.NewAdaptive(cfg) }
 
 // ContextWithTrace returns ctx carrying tracer and the trace position tc;
-// instrumented components (WorkerPool, RemoteWorker, mission stages) continue
+// instrumented components (WorkerPool, ServeClient, mission stages) continue
 // the trace from it.
 func ContextWithTrace(ctx context.Context, tracer *Tracer, tc TraceContext) context.Context {
 	return telemetry.ContextWithTrace(ctx, tracer, tc)
@@ -153,9 +140,4 @@ func SeedTraceIDs(seed, stream uint64) { telemetry.SeedTraceIDs(seed, stream) }
 // log call's context.
 func NewStructuredLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return telemetry.NewLogger(w, level)
-}
-
-// WithWorkerServerLogger routes a WorkerServer's serve failures into l.
-func WithWorkerServerLogger(l *slog.Logger) WorkerServerOption {
-	return cluster.WithServerLogger(l)
 }
