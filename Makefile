@@ -68,7 +68,8 @@ bench-compare:
 # top of the seeded corpus the normal test run replays: the plane-kernel
 # differential fuzzers, the permutation bijectivity fuzzer, the campaign
 # site enumerator, the CR-rejection median selection against its sort
-# oracle, and the codec/parser fuzzers. FUZZTIME scales the
+# oracle, the serve wire codec's three decoders, and the codec/parser
+# fuzzers. FUZZTIME scales the
 # per-target budget (CI uses the default; crank it locally for a deeper
 # soak).
 FUZZTIME ?= 10s
@@ -79,6 +80,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPermBijective$$' -fuzztime $(FUZZTIME) ./internal/perm
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSites$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzMedianSelect$$' -fuzztime $(FUZZTIME) ./internal/crreject
+	$(GO) test -run '^$$' -fuzz '^FuzzReadHeader$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rice
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/fits

@@ -291,3 +291,26 @@ func TestSeriesAtBufReuse(t *testing.T) {
 		t.Fatalf("SeriesAtBuf allocates %.1f per call with a sufficient buffer, want 0", allocs)
 	}
 }
+
+func TestPixelsLERoundTrip(t *testing.T) {
+	for n := 0; n < 11; n++ {
+		pix := make([]uint16, n)
+		for i := range pix {
+			pix[i] = uint16(0x9e37*i + 0x1234)
+		}
+		b := make([]byte, 2*n)
+		PutPixelsLE(b, pix)
+		for i, v := range pix {
+			if b[2*i] != byte(v) || b[2*i+1] != byte(v>>8) {
+				t.Fatalf("n=%d: pixel %d encoded as %x %x, want little-endian %04x", n, i, b[2*i], b[2*i+1], v)
+			}
+		}
+		got := make([]uint16, n)
+		PixelsFromLE(got, b)
+		for i := range pix {
+			if got[i] != pix[i] {
+				t.Fatalf("n=%d: pixel %d decoded %04x, want %04x", n, i, got[i], pix[i])
+			}
+		}
+	}
+}

@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -85,10 +85,13 @@ type Client struct {
 	tracer *telemetry.Tracer // nil without telemetry; spans degrade to no-ops
 	log    *slog.Logger
 
-	mu      sync.Mutex
-	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	mu   sync.Mutex
+	conn net.Conn
+	// in and out buffer the live connection: each protocol phase is
+	// written through out and flushed once, and response pixels decode
+	// straight out of in's buffer (see wire.go).
+	in      *bufio.Reader
+	out     *bufio.Writer
 	addr    string // address of the live conn
 	nodes   map[string]*clientNode
 	backoff time.Duration // current retry delay: doubles per shed, resets on success
@@ -238,8 +241,8 @@ func (c *Client) connect(ctx context.Context) error {
 			if err == nil {
 				c.conn = conn
 				c.addr = addr
-				c.enc = gob.NewEncoder(conn)
-				c.dec = gob.NewDecoder(conn)
+				c.in = bufio.NewReaderSize(conn, connBufferSize)
+				c.out = bufio.NewWriterSize(conn, connBufferSize)
 				return nil
 			}
 			lastErr = err
@@ -263,12 +266,25 @@ func (c *Client) ensureConnected(ctx context.Context) error {
 	return c.connect(ctx)
 }
 
+// send writes through the connection's buffer and flushes it, tearing
+// the connection down on failure. Callers hold c.mu.
+func (c *Client) send(write func(*bufio.Writer) error) error {
+	err := write(c.out)
+	if err == nil {
+		err = c.out.Flush()
+	}
+	if err != nil {
+		c.teardown()
+	}
+	return err
+}
+
 func (c *Client) teardown() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
 		c.addr = ""
-		c.enc, c.dec = nil, nil
+		c.in, c.out = nil, nil
 	}
 }
 
@@ -485,8 +501,8 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 	} else {
 		conn.SetDeadline(time.Time{})
 	}
-	// On cancellation, expire the socket so a blocked gob round-trip
-	// returns instead of hanging until the server answers.
+	// On cancellation, expire the socket so a blocked round trip returns
+	// instead of hanging until the server answers.
 	stopWatch := context.AfterFunc(ctx, func() {
 		conn.SetDeadline(time.Unix(1, 0))
 	})
@@ -497,12 +513,17 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 	if hasDeadline {
 		hdr.Deadline = deadline
 	}
-	if err := c.enc.Encode(&hdr); err != nil {
-		c.teardown()
+	if err := hdr.checkStrings(); err != nil {
+		return nil, 0, &terminalError{err}
+	}
+	// The result is one frame of the request's geometry; its decode is
+	// capped accordingly.
+	maxPix := hdr.Width * hdr.Height
+	if err := c.send(func(w *bufio.Writer) error { return writeHeader(w, &hdr) }); err != nil {
 		return nil, 0, fmt.Errorf("serve: send header: %w", err)
 	}
-	var verdict response
-	if err := c.dec.Decode(&verdict); err != nil {
+	verdict, err := readResponse(c.in, maxPix)
+	if err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: receive admission: %w", err)
 	}
@@ -516,14 +537,18 @@ func (c *Client) try(ctx context.Context, clientID, key string, s *dataset.Stack
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: unexpected admission status %v", verdict.Status)
 	}
-	for _, frame := range s.Frames {
-		if err := c.enc.Encode(frame); err != nil {
-			c.teardown()
-			return nil, 0, fmt.Errorf("serve: send frame: %w", err)
+	if err := c.send(func(w *bufio.Writer) error {
+		for _, frame := range s.Frames {
+			if err := writeFrame(w, frame); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, 0, fmt.Errorf("serve: send frames: %w", err)
 	}
-	var final response
-	if err := c.dec.Decode(&final); err != nil {
+	final, err := readResponse(c.in, maxPix)
+	if err != nil {
 		c.teardown()
 		return nil, 0, fmt.Errorf("serve: receive result: %w", err)
 	}

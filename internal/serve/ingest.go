@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"spaceproc/internal/cluster"
-	"spaceproc/internal/dataset"
 	"spaceproc/internal/store"
 	"spaceproc/internal/telemetry"
 )
@@ -170,16 +169,16 @@ func (c *Core) CachedResult(dig store.Digest) (*cluster.Result, bool) {
 	return res, ok
 }
 
-// LogAdmitted appends one admitted baseline to the WAL before it enters
-// the batcher. A logging failure is not fatal to the request — the
+// LogAdmitted appends one admitted baseline, as the bytes it arrived in,
+// to the WAL before it enters the batcher. A logging failure is not fatal to the request — the
 // daemon still serves it, it just isn't crash-durable — but it is
 // counted and logged. ok reports whether the entry was durably appended
 // (and so must be committed when the request retires).
-func (c *Core) LogAdmitted(client, key string, dig store.Digest, s *dataset.Stack) (seq uint64, ok bool) {
+func (c *Core) LogAdmitted(client, key string, dig store.Digest, p store.Payload) (seq uint64, ok bool) {
 	if c.ing == nil || c.ing.wal == nil {
 		return 0, false
 	}
-	seq, err := c.ing.wal.Append(client, key, dig, s)
+	seq, err := c.ing.wal.AppendPayload(client, key, dig, p)
 	if m := c.ing.met; m != nil {
 		if err == nil {
 			m.walAppends.Inc()

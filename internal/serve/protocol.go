@@ -9,28 +9,31 @@ import (
 	"spaceproc/internal/dataset"
 )
 
-// Wire protocol: gob frames over a persistent TCP connection, one request
-// at a time per connection (a client that wants parallelism opens several
-// connections, which is also how per-client quotas are exercised).
+// Wire protocol: little-endian messages over a persistent TCP connection
+// (see wire.go for the byte layout), one request at a time per
+// connection (a client that wants parallelism opens several connections,
+// which is also how per-client quotas are exercised).
 //
 // Per request the exchange is
 //
-//	client: header{Client, Frames, Width, Height, Deadline}
+//	client: header{Client, Key, Frames, Width, Height, Deadline, trace}
 //	server: response{Status: Accepted | Shed | Draining | Error}
-//	client: Frames x *dataset.Image   (only after Accepted)
-//	server: response{Status: OK | Error, result fields}
+//	client: Frames x frame{Width, Height, byte count, pixels}
+//	        (only after Accepted)
+//	server: response{Status: OK | Shed | Error, result on OK}
 //
 // Admission is decided on the header alone, before the payload is on the
-// wire: a shed request costs the network a few hundred bytes, not the
+// wire: a shed request costs the network a few dozen bytes, not the
 // multi-megabyte baseline. Shed and Draining responses carry a RetryAfter
-// hint the client honors as the floor of its backoff.
+// hint the client honors as the floor of its backoff. The header opens
+// with a magic word and a version byte; a server answers a version it
+// does not speak with StatusError and drops the connection.
 
 // Status is the server's verdict in a response frame.
 type Status int
 
-// Status values deliberately start at 1: gob omits zero-valued fields, so
-// a zero-valued status would vanish from the wire and a receiver decoding
-// into a reused struct would see the previous exchange's verdict.
+// Status values start at 1, so a zeroed response never reads as a
+// verdict; they travel as one byte.
 const (
 	// StatusAccepted admits the request; the client must now stream the
 	// baseline's frames.
@@ -102,13 +105,11 @@ type header struct {
 	Width, Height int
 	// Deadline is the absolute processing cut-off (zero for none); the
 	// server derives its pipeline context from it, so client deadlines
-	// propagate into pool scheduling.
+	// propagate into pool scheduling. It travels as Unix nanoseconds.
 	Deadline time.Time
 	// TraceID and SpanID carry the client's trace position so the server
 	// continues one distributed trace instead of starting its own. Zero
-	// means untraced — safe on the wire even though gob omits zero fields,
-	// because the server decodes into a fresh header per request (unlike
-	// Status, these fields have a meaningful zero).
+	// means untraced.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -121,18 +122,12 @@ const (
 	MaxEdge = 16384
 )
 
-// payloadBytes is the in-memory size the header's payload decodes to:
-// Frames x Width x Height pixels at 2 bytes each. Admission checks it
-// against the server's request byte budget.
+// payloadBytes is the size of the header's payload, on the wire and in
+// memory alike: Frames x Width x Height pixels at 2 bytes each.
+// Admission checks it against the server's request byte budget, and the
+// receive path reads exactly this many pixel bytes.
 func (h header) payloadBytes() int64 {
 	return int64(h.Frames) * int64(h.Width) * int64(h.Height) * 2
-}
-
-// wireBudget is the most bytes the header's payload may occupy on the
-// wire: gob encodes each uint16 pixel as a varint of at most 3 bytes,
-// plus one-time type definitions and per-frame message framing.
-func (h header) wireBudget() int64 {
-	return int64(h.Frames)*int64(h.Width)*int64(h.Height)*3 + int64(h.Frames)*64 + 64<<10
 }
 
 // validate rejects nonsensical or abusive headers before any payload is

@@ -10,9 +10,9 @@
 //     payload is on the wire. Requests over either limit are shed with a
 //     retry-after hint instead of queueing unboundedly. Admission also
 //     bounds bytes, not just request count: headers declaring more than
-//     the request byte budget are refused, and the payload decode reads
-//     through a budget-capped reader so wire-claimed gob lengths cannot
-//     out-allocate the header the server admitted.
+//     the request byte budget are refused, and the receive path reads
+//     exactly the admitted header's payload bytes — a frame whose length
+//     prefix claims more is cut off unread (see wire.go).
 //   - Dynamic batching: admitted requests coalesce for up to a small
 //     window (or a maximum batch size) and their tiles submit onto the
 //     pool as one wave (see batcher).
@@ -29,12 +29,10 @@
 package serve
 
 import (
-	"bytes"
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"strings"
@@ -70,9 +68,13 @@ const (
 	// the server will mint, so a hostile client sweeping IDs cannot grow
 	// the registry unboundedly. Quota enforcement is not affected.
 	maxClientGauges = 64
-	// maxHeaderBytes caps the wire bytes one header decode may consume
-	// (including gob's one-time type definitions).
-	maxHeaderBytes = 64 << 10
+	// connBufferSize sizes each connection's read and write buffers.
+	connBufferSize = 32 << 10
+	// payloadUpfront is how many payload bytes the server allocates for
+	// an admitted request before any arrive; past it the buffer doubles
+	// as frames land, so a client that stalls holds little more memory
+	// than it has sent.
+	payloadUpfront = 1 << 20
 )
 
 // Backend is the processing sink the serving tier schedules onto: a
@@ -243,77 +245,57 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// The decoder reads through a per-phase byte budget: headers get a
-	// small fixed allowance, payloads the wire budget their admitted
-	// header earned. A stream claiming more simply fails its decode.
-	lim := &limitReader{r: conn, n: maxHeaderBytes}
-	dec := gob.NewDecoder(lim)
-	out := newResponder(conn)
+	in := bufio.NewReaderSize(conn, connBufferSize)
+	out := &responder{conn: conn}
 	for {
-		lim.n = maxHeaderBytes
-		var hdr header
-		if err := dec.Decode(&hdr); err != nil {
+		hdr, err := readHeader(in)
+		if err != nil {
+			// A peer speaking another protocol version is told why before
+			// the connection drops; the stream cannot be resynchronized.
+			if errors.Is(err, errWire) {
+				if s.met != nil {
+					s.met.requests.Inc()
+					s.met.errored.Inc()
+				}
+				out.send(&response{Status: StatusError, Err: err.Error()})
+			}
 			return
 		}
-		if !s.handle(conn, out, dec, lim, hdr) {
+		if !s.handle(conn, in, out, hdr) {
 			return
 		}
 	}
 }
 
-// responder gob-encodes responses into a buffer and writes each one to
-// the connection in a single call, so a request can settle between
-// encoding its response and putting it on the wire.
+// responder encodes responses into a buffer and writes each one to the
+// connection in a single call, so a request can settle between encoding
+// its response and putting it on the wire.
 type responder struct {
 	conn net.Conn
-	buf  bytes.Buffer
-	enc  *gob.Encoder
-}
-
-func newResponder(conn net.Conn) *responder {
-	r := &responder{conn: conn}
-	r.enc = gob.NewEncoder(&r.buf)
-	return r
+	buf  []byte
 }
 
 // encode serializes resp into the buffer, replacing any unsent response.
 func (r *responder) encode(resp *response) error {
-	r.buf.Reset()
-	return r.enc.Encode(resp)
+	var err error
+	r.buf, err = appendResponse(r.buf[:0], resp)
+	return err
 }
 
 // flush writes the encoded response and reports whether it went out.
+// Buffers past connBufferSize are released rather than pinned to an
+// idle connection.
 func (r *responder) flush() bool {
-	_, err := r.conn.Write(r.buf.Bytes())
+	_, err := r.conn.Write(r.buf)
+	if cap(r.buf) > connBufferSize {
+		r.buf = nil
+	}
 	return err == nil
 }
 
 // send encodes and writes resp.
 func (r *responder) send(resp *response) bool {
 	return r.encode(resp) == nil && r.flush()
-}
-
-// limitReader caps how many bytes the gob decoder may consume per
-// protocol phase, so a wire-claimed message length cannot pull more off
-// the socket than the admitted header declared. n < 0 reads unlimited.
-type limitReader struct {
-	r io.Reader
-	n int64
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.n < 0 {
-		return l.r.Read(p)
-	}
-	if l.n == 0 {
-		return 0, errors.New("serve: request byte budget exhausted")
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
 }
 
 // handle runs one request exchange; it reports whether the connection is
@@ -337,7 +319,7 @@ func (l *limitReader) Read(p []byte) (int, error) {
 // settlement, and the drain still waits for it (see exchanges). The WAL
 // commit is not part of settlement: it happens as soon as the pipeline
 // answers.
-func (s *Server) handle(conn net.Conn, out *responder, dec *gob.Decoder, lim *limitReader, hdr header) bool {
+func (s *Server) handle(conn net.Conn, in *bufio.Reader, out *responder, hdr header) bool {
 	if s.met != nil {
 		s.met.requests.Inc()
 	}
@@ -468,24 +450,25 @@ func (s *Server) handle(conn net.Conn, out *responder, dec *gob.Decoder, lim *li
 		return false
 	}
 
-	// Receive the baseline. A decode fault here leaves the stream
-	// unsynchronized, so the connection is dropped. The reader budget is
-	// the admitted header's worst-case wire size; each frame must land
+	// Receive the baseline: exactly the admitted header's payload bytes,
+	// kept as one contiguous buffer that the digest and the WAL use as
+	// received. A read fault or an over-budget frame leaves the stream
+	// unsynchronized, so the connection is dropped. Each frame must land
 	// within the receive timeout so a stalled client cannot pin its
-	// admission slot.
+	// admission slot, and past payloadUpfront the buffer grows only as
+	// frames arrive.
 	recv := child(StageReceive, fmt.Sprintf("frames_%d", hdr.Frames))
-	lim.n = hdr.wireBudget()
-	stack := &dataset.Stack{Frames: make([]*dataset.Image, hdr.Frames)}
-	for i := range stack.Frames {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReceiveTimeout)) //nolint:errcheck // a dead conn fails the decode below
-		var frame dataset.Image
-		if err := dec.Decode(&frame); err != nil {
-			recv.Annotate("error", err.Error())
-			recv.End()
-			settle("recv_error")
-			return false
+	payload := store.Payload{Frames: hdr.Frames, Width: hdr.Width, Height: hdr.Height}
+	total, frameBytes := int(hdr.payloadBytes()), 2*hdr.Width*hdr.Height
+	for i := 0; i < hdr.Frames; i++ {
+		conn.SetReadDeadline(time.Now().Add(s.cfg.ReceiveTimeout)) //nolint:errcheck // a dead conn fails the read below
+		n := len(payload.Pix)
+		if cap(payload.Pix) < n+frameBytes {
+			payload.Pix = append(make([]byte, 0, min(total, max(2*n, n+frameBytes, payloadUpfront))), payload.Pix...)
 		}
-		if frame.Width != hdr.Width || frame.Height != hdr.Height || len(frame.Pix) != hdr.Width*hdr.Height {
+		payload.Pix = payload.Pix[:n+frameBytes]
+		fh, err := readFrame(in, hdr, total-n, payload.Pix[n:])
+		if errors.Is(err, errFrameMismatch) {
 			if s.met != nil {
 				s.met.errored.Inc()
 			}
@@ -493,12 +476,18 @@ func (s *Server) handle(conn net.Conn, out *responder, dec *gob.Decoder, lim *li
 			recv.End()
 			settle("bad_frame")
 			out.send(&response{Status: StatusError,
-				Err: fmt.Sprintf("serve: frame %d is %dx%d (%d px), header said %dx%d",
-					i, frame.Width, frame.Height, len(frame.Pix), hdr.Width, hdr.Height)})
+				Err: fmt.Sprintf("serve: frame %d is %dx%d (%d bytes), header said %dx%d",
+					i, fh.Width, fh.Height, fh.Bytes, hdr.Width, hdr.Height)})
 			return false
 		}
-		stack.Frames[i] = &frame
+		if err != nil {
+			recv.Annotate("error", err.Error())
+			recv.End()
+			settle("recv_error")
+			return false
+		}
 	}
+	stack := payload.Stack()
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // idle waits between requests are unbounded by design
 	recv.End()
 	if s.met != nil {
@@ -521,11 +510,11 @@ func (s *Server) handle(conn net.Conn, out *responder, dec *gob.Decoder, lim *li
 		logged bool
 	)
 	if s.core.IngestEnabled() {
-		dig = store.StackDigest(stack)
+		dig = payload.Digest()
 		if cached, ok := s.core.CachedResult(dig); ok {
 			return finish(cached, "dedupe_hit")
 		}
-		walSeq, logged = s.core.LogAdmitted(client, key, dig, stack)
+		walSeq, logged = s.core.LogAdmitted(client, key, dig, payload)
 	}
 
 	// Run the baseline through the backend, honoring the client's

@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -114,16 +115,58 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-// rawConn opens a bare gob connection to the server for protocol-level
-// tests.
-func rawConn(t *testing.T, addr string) (net.Conn, *gob.Encoder, *gob.Decoder) {
+// rawConn opens a bare wire-codec connection to the server for
+// protocol-level tests.
+func rawConn(t *testing.T, addr string) (net.Conn, *rawEncoder, *rawDecoder) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn, gob.NewEncoder(conn), gob.NewDecoder(conn)
+	return conn, &rawEncoder{bufio.NewWriter(conn)}, &rawDecoder{bufio.NewReader(conn)}
+}
+
+// rawEncoder writes one protocol message per Encode call and flushes it:
+// a *header, a *dataset.Image frame, or a *response.
+type rawEncoder struct{ w *bufio.Writer }
+
+func (e *rawEncoder) Encode(v any) error {
+	var err error
+	switch v := v.(type) {
+	case *header:
+		err = writeHeader(e.w, v)
+	case *dataset.Image:
+		err = writeFrame(e.w, v)
+	case *response:
+		var b []byte
+		if b, err = appendResponse(nil, v); err == nil {
+			_, err = e.w.Write(b)
+		}
+	default:
+		err = fmt.Errorf("rawEncoder: cannot encode %T", v)
+	}
+	if err != nil {
+		return err
+	}
+	return e.w.Flush()
+}
+
+// rawDecoder reads one protocol message per Decode call: a *header or a
+// *response (result images up to MaxEdge on a side).
+type rawDecoder struct{ r *bufio.Reader }
+
+func (d *rawDecoder) Decode(v any) error {
+	var err error
+	switch v := v.(type) {
+	case *header:
+		*v, err = readHeader(d.r)
+	case *response:
+		*v, err = readResponse(d.r, MaxEdge*MaxEdge)
+	default:
+		err = fmt.Errorf("rawDecoder: cannot decode %T", v)
+	}
+	return err
 }
 
 // TestRequestOverByteBudgetRejected proves a header declaring more than
@@ -167,9 +210,9 @@ func TestRequestOverByteBudgetRejected(t *testing.T) {
 	}
 }
 
-// TestPayloadWireBudgetEnforced proves a payload stream that claims far
-// more wire bytes than the admitted header earns is cut off instead of
-// decoded: the server drops the connection without a response.
+// TestPayloadWireBudgetEnforced proves a frame whose length prefix claims
+// more bytes than the admitted header has left to receive is cut off
+// instead of read: the server drops the connection without a response.
 func TestPayloadWireBudgetEnforced(t *testing.T) {
 	fb := &fakeBackend{}
 	_, addr := startServer(t, fb)
@@ -185,9 +228,8 @@ func TestPayloadWireBudgetEnforced(t *testing.T) {
 	if resp.Status != StatusAccepted {
 		t.Fatalf("want accepted, got %v", resp.Status)
 	}
-	// A 2x2 header earns ~64 KiB of wire budget; stream a frame whose gob
-	// encoding is several times that (large pixel values encode as 3-byte
-	// varints).
+	// A 2x2 header earns 8 payload bytes; stream a frame whose length
+	// prefix claims 128 KiB.
 	huge := dataset.NewImage(256, 256)
 	for i := range huge.Pix {
 		huge.Pix[i] = 60000
@@ -517,13 +559,7 @@ func TestBackendErrorIsTerminal(t *testing.T) {
 func TestInvalidHeaderAnsweredInline(t *testing.T) {
 	fb := &fakeBackend{}
 	_, addr := startServer(t, fb)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	_, enc, dec := rawConn(t, addr)
 
 	if err := enc.Encode(&header{Frames: 0, Width: 8, Height: 8}); err != nil {
 		t.Fatal(err)
@@ -562,38 +598,48 @@ func TestInvalidHeaderAnsweredInline(t *testing.T) {
 
 // TestFrameMismatchRejected proves a frame that contradicts its header is
 // answered with StatusError before it reaches the backend, and that the
-// server still serves a valid request on a new connection. The last row
-// is the input that crashed the retired gob tile protocol: a frame that
-// claims the header's 8x8 but carries 4 pixels, sent to a worker node
-// whose AlgoNGST worker would index past the end of it.
+// server still serves a valid request on a new connection. The second
+// row is the input that crashed the retired gob tile protocol: a frame
+// that claims the header's 8x8 but carries 4 pixels, sent to a worker
+// node whose AlgoNGST worker would index past the end of it. The last
+// row is a header in a wire version the server does not speak, refused
+// before admission.
 func TestFrameMismatchRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		backend Backend
-		frame   *dataset.Image
+		frame   *dataset.Image // nil: the header itself is refused
+		version byte           // header version byte; 0 sends wireVersion
 	}{
-		{"smaller frame", &fakeBackend{}, dataset.NewImage(4, 4)},
+		{"smaller frame", &fakeBackend{}, dataset.NewImage(4, 4), 0},
 		{"short pixels on a worker node", WorkerBackend(ngstWorker(t)),
-			&dataset.Image{Width: 8, Height: 8, Pix: make([]uint16, 4)}},
+			&dataset.Image{Width: 8, Height: 8, Pix: make([]uint16, 4)}, 0},
+		{"wrong version byte", &fakeBackend{}, nil, wireVersion + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, addr := startServer(t, tc.backend, WithBatching(1, 0))
-			_, enc, dec := rawConn(t, addr)
-			if err := enc.Encode(&header{Frames: 1, Width: 8, Height: 8}); err != nil {
+			conn, enc, dec := rawConn(t, addr)
+			hdr := appendHeader(nil, &header{Frames: 1, Width: 8, Height: 8})
+			if tc.version != 0 {
+				hdr[len(wireMagic)] = tc.version
+			}
+			if _, err := conn.Write(hdr); err != nil {
 				t.Fatal(err)
 			}
 			var resp response
 			if err := dec.Decode(&resp); err != nil {
 				t.Fatal(err)
 			}
-			if resp.Status != StatusAccepted {
-				t.Fatalf("want accepted, got %v", resp.Status)
-			}
-			if err := enc.Encode(tc.frame); err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.Decode(&resp); err != nil {
-				t.Fatal(err)
+			if tc.frame != nil {
+				if resp.Status != StatusAccepted {
+					t.Fatalf("want accepted, got %v", resp.Status)
+				}
+				if err := enc.Encode(tc.frame); err != nil {
+					t.Fatal(err)
+				}
+				if err := dec.Decode(&resp); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if resp.Status != StatusError {
 				t.Fatalf("want StatusError, got %v", resp.Status)
@@ -633,19 +679,19 @@ func TestClientRetriesTransportFault(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		var hdr header
-		if dec.Decode(&hdr) != nil {
+		in := bufio.NewReader(conn)
+		enc := &rawEncoder{bufio.NewWriter(conn)}
+		hdr, err := readHeader(in)
+		if err != nil {
 			return
 		}
 		if enc.Encode(&response{Status: StatusAccepted}) != nil {
 			return
 		}
 		img := dataset.NewImage(hdr.Width, hdr.Height)
+		frame := make([]byte, 2*hdr.Width*hdr.Height)
 		for i := 0; i < hdr.Frames; i++ {
-			var f dataset.Image
-			if dec.Decode(&f) != nil {
+			if _, err := readFrame(in, hdr, (hdr.Frames-i)*len(frame), frame); err != nil {
 				return
 			}
 		}

@@ -89,6 +89,63 @@ func StackDigest(s *dataset.Stack) Digest {
 	return d
 }
 
+// Payload is a baseline in the byte layout the serve wire, the digest
+// and the log's CHUNK records share: every pixel as a little-endian
+// uint16, row-major, frames concatenated. Carrying the received bytes
+// lets the ingest path digest and log a baseline without re-encoding it.
+type Payload struct {
+	Frames, Width, Height int
+	// Pix holds Frames×Width×Height×2 bytes.
+	Pix []byte
+}
+
+// encodeStack lays a stack out as a Payload. Every frame must share the
+// first frame's geometry.
+func encodeStack(s *dataset.Stack) Payload {
+	p := Payload{Frames: s.Len(), Width: s.Width(), Height: s.Height()}
+	n := 0
+	for _, fr := range s.Frames {
+		n += len(fr.Pix)
+	}
+	p.Pix = make([]byte, 2*n)
+	off := 0
+	for _, fr := range s.Frames {
+		dataset.PutPixelsLE(p.Pix[off:], fr.Pix)
+		off += 2 * len(fr.Pix)
+	}
+	return p
+}
+
+// Stack decodes the payload, which must hold exactly its geometry's
+// bytes, into a fresh stack. The frames share one pixel array, each
+// capped to its own range.
+func (p Payload) Stack() *dataset.Stack {
+	n := p.Width * p.Height
+	pix := make([]uint16, p.Frames*n)
+	dataset.PixelsFromLE(pix, p.Pix)
+	s := &dataset.Stack{Frames: make([]*dataset.Image, p.Frames)}
+	for f := range s.Frames {
+		s.Frames[f] = &dataset.Image{Width: p.Width, Height: p.Height,
+			Pix: pix[f*n : (f+1)*n : (f+1)*n]}
+	}
+	return s
+}
+
+// Digest content-addresses the payload exactly as StackDigest addresses
+// the stack it encodes, hashing the bytes as they are.
+func (p Payload) Digest() Digest {
+	h := sha256.New()
+	var dims [12]byte
+	binary.LittleEndian.PutUint32(dims[0:], uint32(p.Frames))
+	binary.LittleEndian.PutUint32(dims[4:], uint32(p.Width))
+	binary.LittleEndian.PutUint32(dims[8:], uint32(p.Height))
+	h.Write(dims[:])
+	h.Write(p.Pix)
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
+
 // WALOptions tunes a WAL.
 type WALOptions struct {
 	// ChunkBytes caps the payload per CHUNK record; 0 selects
@@ -132,7 +189,10 @@ type WAL struct {
 	path    string
 	opt     WALOptions
 	nextSeq uint64
-	pending map[uint64]bool // appended, not yet committed
+	// pending maps each appended, not yet committed entry to its records
+	// exactly as they sit in the log (ENTRY plus CHUNKs), so compaction
+	// rewrites the log from memory instead of re-reading it.
+	pending map[uint64][]byte
 	// commitsSinceCompact triggers background-free compaction: once
 	// enough committed entries accumulate the log is rewritten with only
 	// the pending ones, bounding growth on a long-running daemon.
@@ -160,42 +220,52 @@ func OpenWAL(dir string, opt WALOptions) (*WAL, []*WALEntry, *WALReport, error) 
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, nil, fmt.Errorf("store: wal: %w", err)
 	}
-	entries, rep, nextSeq := scanWAL(raw)
+	scanned, rep, nextSeq := scanWAL(raw)
 
 	w := &WAL{
 		path:    path,
 		opt:     opt,
 		nextSeq: nextSeq,
-		pending: make(map[uint64]bool),
+		pending: make(map[uint64][]byte, len(scanned)),
 	}
-	for _, e := range entries {
-		w.pending[e.Seq] = true
+	entries := make([]*WALEntry, len(scanned))
+	for i, pe := range scanned {
+		p := Payload{Frames: pe.frames, Width: pe.width, Height: pe.height, Pix: pe.buf}
+		pe.entry.Stack = p.Stack()
+		entries[i] = pe.entry
+		w.pending[pe.entry.Seq] = encodeEntry(pe.entry, p, opt.ChunkBytes)
 	}
 	// Rewrite the log with only the pending entries: committed and torn
 	// records do not survive a restart, so the file cannot grow without
 	// bound across crash/recover cycles.
-	if err := w.rewrite(entries); err != nil {
+	if err := w.rewrite(); err != nil {
 		return nil, nil, nil, err
 	}
 	return w, entries, rep, nil
 }
 
-// rewrite replaces the log file with exactly the given entries and
-// reopens the append handle. Callers hold w.mu (or own w exclusively).
-func (w *WAL) rewrite(entries []*WALEntry) error {
+// rewrite replaces the log file with exactly the pending entries'
+// records, in sequence order, and reopens the append handle. Callers
+// hold w.mu (or own w exclusively).
+func (w *WAL) rewrite() error {
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
 	}
+	seqs := make([]uint64, 0, len(w.pending))
+	for seq := range w.pending {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	tmp := w.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: wal: %w", err)
 	}
-	for _, e := range entries {
-		if err := writeEntry(f, e, w.opt.ChunkBytes); err != nil {
+	for _, seq := range seqs {
+		if _, err := f.Write(w.pending[seq]); err != nil {
 			f.Close()
-			return err
+			return fmt.Errorf("store: wal: %w", err)
 		}
 	}
 	if w.opt.Sync {
@@ -221,6 +291,17 @@ func (w *WAL) rewrite(entries []*WALEntry) error {
 // Append logs one admitted baseline and returns its sequence number. The
 // entry is replayable until Commit marks it served.
 func (w *WAL) Append(client, key string, digest Digest, s *dataset.Stack) (uint64, error) {
+	return w.AppendPayload(client, key, digest, encodeStack(s))
+}
+
+// AppendPayload is Append for a baseline already in its byte layout (the
+// bytes a serve request carried). The WAL keeps its own copy of p.Pix
+// while the entry is pending.
+func (w *WAL) AppendPayload(client, key string, digest Digest, p Payload) (uint64, error) {
+	if p.Frames < 0 || p.Width < 0 || p.Height < 0 || len(p.Pix) != p.Frames*p.Width*p.Height*2 {
+		return 0, fmt.Errorf("store: wal: payload of %d bytes does not match %dx%dx%d",
+			len(p.Pix), p.Frames, p.Width, p.Height)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -228,17 +309,26 @@ func (w *WAL) Append(client, key string, digest Digest, s *dataset.Stack) (uint6
 	}
 	seq := w.nextSeq
 	w.nextSeq++
-	e := &WALEntry{Seq: seq, Client: client, Key: key, Digest: digest, Stack: s}
-	if err := writeEntry(w.f, e, w.opt.ChunkBytes); err != nil {
+	recs := encodeEntry(&WALEntry{Seq: seq, Client: client, Key: key, Digest: digest}, p, w.opt.ChunkBytes)
+	if err := w.write(recs); err != nil {
 		return 0, err
+	}
+	w.pending[seq] = recs
+	return seq, nil
+}
+
+// write appends buf to the log in one call and fsyncs it under
+// WALOptions.Sync. Callers hold w.mu.
+func (w *WAL) write(buf []byte) error {
+	if _, err := w.f.Write(buf); err != nil {
+		return fmt.Errorf("store: wal: %w", err)
 	}
 	if w.opt.Sync {
 		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("store: wal: %w", err)
+			return fmt.Errorf("store: wal: %w", err)
 		}
 	}
-	w.pending[seq] = true
-	return seq, nil
+	return nil
 }
 
 // Commit marks the entry served: it will not replay after a restart.
@@ -250,20 +340,15 @@ func (w *WAL) Commit(seq uint64) error {
 	if w.closed {
 		return errors.New("store: wal closed")
 	}
-	body := make([]byte, 8)
-	binary.BigEndian.PutUint64(body, seq)
-	if err := writeRecord(w.f, recCommit, body); err != nil {
+	var body [8]byte
+	binary.BigEndian.PutUint64(body[:], seq)
+	if err := w.write(appendRecord(make([]byte, 0, walHeaderSize+8+sha256.Size), recCommit, body[:])); err != nil {
 		return err
-	}
-	if w.opt.Sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: wal: %w", err)
-		}
 	}
 	delete(w.pending, seq)
 	w.commitsSinceCompact++
 	if w.commitsSinceCompact >= compactEvery {
-		return w.compactLocked()
+		return w.rewrite()
 	}
 	return nil
 }
@@ -277,31 +362,15 @@ func (w *WAL) Pending() int {
 
 // Compact rewrites the log down to the pending entries, dropping every
 // committed record. Commit triggers it automatically every compactEvery
-// commits; call it directly to reclaim space eagerly.
+// commits; call it directly to reclaim space eagerly. The pending
+// entries' records come from memory; the old log is not read.
 func (w *WAL) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return errors.New("store: wal closed")
 	}
-	return w.compactLocked()
-}
-
-// compactLocked re-reads the file, keeps records of pending entries, and
-// rewrites. Callers hold w.mu.
-func (w *WAL) compactLocked() error {
-	raw, err := os.ReadFile(w.path)
-	if err != nil {
-		return fmt.Errorf("store: wal: %w", err)
-	}
-	entries, _, _ := scanWAL(raw)
-	keep := entries[:0]
-	for _, e := range entries {
-		if w.pending[e.Seq] {
-			keep = append(keep, e)
-		}
-	}
-	return w.rewrite(keep)
+	return w.rewrite()
 }
 
 // Close releases the file handle. Idempotent.
@@ -320,65 +389,57 @@ func (w *WAL) Close() error {
 	return nil
 }
 
-// writeEntry appends one ENTRY record and its size-capped CHUNK records.
-func writeEntry(f *os.File, e *WALEntry, chunkBytes int) error {
-	s := e.Stack
-	payload := make([]byte, 0, s.Len()*s.Width()*s.Height()*2)
-	for _, fr := range s.Frames {
-		for _, p := range fr.Pix {
-			payload = binary.LittleEndian.AppendUint16(payload, p)
-		}
-	}
-	chunks := (len(payload) + chunkBytes - 1) / chunkBytes
+// encodeEntry lays out one ENTRY record and its size-capped CHUNK
+// records for e's fields (its Stack is unused) and payload p, ready for
+// a single write.
+func encodeEntry(e *WALEntry, p Payload, chunkBytes int) []byte {
+	chunks := (len(p.Pix) + chunkBytes - 1) / chunkBytes
 	if chunks == 0 {
 		chunks = 1 // an empty payload still writes one (empty) chunk
 	}
+	const perRecord = walHeaderSize + sha256.Size
+	bodyLen := 8 + sha256.Size + 16 + 4 + len(e.Client) + len(e.Key)
+	buf := make([]byte, 0, perRecord+bodyLen+chunks*(perRecord+12)+len(p.Pix))
 
-	body := make([]byte, 0, 8+32+16+4+len(e.Client)+len(e.Key))
+	body := make([]byte, 0, bodyLen)
 	body = binary.BigEndian.AppendUint64(body, e.Seq)
 	body = append(body, e.Digest[:]...)
-	body = binary.BigEndian.AppendUint32(body, uint32(s.Len()))
-	body = binary.BigEndian.AppendUint32(body, uint32(s.Width()))
-	body = binary.BigEndian.AppendUint32(body, uint32(s.Height()))
+	body = binary.BigEndian.AppendUint32(body, uint32(p.Frames))
+	body = binary.BigEndian.AppendUint32(body, uint32(p.Width))
+	body = binary.BigEndian.AppendUint32(body, uint32(p.Height))
 	body = binary.BigEndian.AppendUint32(body, uint32(chunks))
 	body = binary.BigEndian.AppendUint16(body, uint16(len(e.Client)))
 	body = append(body, e.Client...)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(e.Key)))
 	body = append(body, e.Key...)
-	if err := writeRecord(f, recEntry, body); err != nil {
-		return err
-	}
+	buf = appendRecord(buf, recEntry, body)
 
 	for i := 0; i < chunks; i++ {
 		lo := i * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		cb := make([]byte, 0, 12+hi-lo)
-		cb = binary.BigEndian.AppendUint64(cb, e.Seq)
-		cb = binary.BigEndian.AppendUint32(cb, uint32(i))
-		cb = append(cb, payload[lo:hi]...)
-		if err := writeRecord(f, recChunk, cb); err != nil {
-			return err
-		}
+		hi := min(lo+chunkBytes, len(p.Pix))
+		// Build the CHUNK body in place: its hash covers bytes already
+		// in buf, so the payload is copied exactly once.
+		start := len(buf)
+		buf = append(buf, walMagic...)
+		buf = append(buf, recChunk)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(12+hi-lo))
+		buf = binary.BigEndian.AppendUint64(buf, e.Seq)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(i))
+		buf = append(buf, p.Pix[lo:hi]...)
+		sum := sha256.Sum256(buf[start+walHeaderSize:])
+		buf = append(buf, sum[:]...)
 	}
-	return nil
+	return buf
 }
 
-// writeRecord frames one record: magic | type | len | body | sha256(body).
-func writeRecord(f *os.File, typ byte, body []byte) error {
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic...)
-	hdr = append(hdr, typ)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
+// appendRecord frames one record: magic | type | len | body | sha256(body).
+func appendRecord(buf []byte, typ byte, body []byte) []byte {
+	buf = append(buf, walMagic...)
+	buf = append(buf, typ)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
+	buf = append(buf, body...)
 	sum := sha256.Sum256(body)
-	for _, b := range [][]byte{hdr, body, sum[:]} {
-		if _, err := f.Write(b); err != nil {
-			return fmt.Errorf("store: wal: %w", err)
-		}
-	}
-	return nil
+	return append(buf, sum[:]...)
 }
 
 // pendingEntry accumulates one entry's records during a scan.
@@ -393,9 +454,9 @@ type pendingEntry struct {
 }
 
 // scanWAL walks the log, verifying every record, and returns the intact
-// uncommitted entries in sequence order plus the next free sequence
-// number.
-func scanWAL(raw []byte) ([]*WALEntry, *WALReport, uint64) {
+// uncommitted entries (with their payload bytes, Stack not yet decoded)
+// in sequence order plus the next free sequence number.
+func scanWAL(raw []byte) ([]*pendingEntry, *WALReport, uint64) {
 	rep := &WALReport{}
 	open := make(map[uint64]*pendingEntry)
 	committed := make(map[uint64]bool)
@@ -479,7 +540,7 @@ func scanWAL(raw []byte) ([]*WALEntry, *WALReport, uint64) {
 		}
 	}
 
-	var out []*WALEntry
+	var out []*pendingEntry
 	for seq, pe := range open {
 		if committed[seq] {
 			continue
@@ -488,18 +549,9 @@ func scanWAL(raw []byte) ([]*WALEntry, *WALReport, uint64) {
 			rep.Corrupt++
 			continue
 		}
-		st := dataset.NewStack(pe.frames, pe.width, pe.height)
-		p := pe.buf
-		for _, fr := range st.Frames {
-			for i := range fr.Pix {
-				fr.Pix[i] = binary.LittleEndian.Uint16(p)
-				p = p[2:]
-			}
-		}
-		pe.entry.Stack = st
-		out = append(out, pe.entry)
+		out = append(out, pe)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sort.Slice(out, func(i, j int) bool { return out[i].entry.Seq < out[j].entry.Seq })
 	return out, rep, nextSeq
 }
 

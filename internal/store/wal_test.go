@@ -322,3 +322,152 @@ func TestWALClosedErrors(t *testing.T) {
 		t.Fatal("commit on closed wal should error")
 	}
 }
+
+func TestPayloadMatchesStack(t *testing.T) {
+	for _, s := range []*dataset.Stack{walStack(7, 3, 5, 4), walStack(8, 1, 1, 1), {}} {
+		p := encodeStack(s)
+		if len(p.Pix) != s.Len()*s.Width()*s.Height()*2 {
+			t.Fatalf("payload is %d bytes for %dx%dx%d", len(p.Pix), s.Len(), s.Width(), s.Height())
+		}
+		// StackDigest is the oracle: hashing the received bytes must
+		// address the baseline exactly as hashing the decoded stack does.
+		if p.Digest() != StackDigest(s) {
+			t.Fatalf("payload digest %v != stack digest %v", p.Digest(), StackDigest(s))
+		}
+		if s.Len() > 0 {
+			samePixels(t, s, p.Stack())
+		}
+	}
+}
+
+func TestWALAppendPayloadRejectsShortPayload(t *testing.T) {
+	w, _, _, err := OpenWAL(t.TempDir(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p := Payload{Frames: 2, Width: 4, Height: 4, Pix: make([]byte, 63)}
+	if _, err := w.AppendPayload("c", "", p.Digest(), p); err == nil {
+		t.Fatal("a payload shorter than its geometry must be refused")
+	}
+	if w.Pending() != 0 {
+		t.Fatalf("pending = %d after a refused append", w.Pending())
+	}
+}
+
+// TestWALCompactFromMemory proves compaction rewrites the pending
+// entries from the WAL's own copies: the log on disk is clobbered before
+// Compact, and the reopened log still replays every pending entry
+// bit-identically — including entries that were themselves recovered by
+// OpenWAL.
+func TestWALCompactFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ingest.wal")
+	opt := WALOptions{ChunkBytes: 100} // several chunks per entry
+	w, _, _, err := OpenWAL(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		seq         uint64
+		client, key string
+		stack       *dataset.Stack
+	}
+	var keep []want
+	for i := 0; i < 6; i++ {
+		s := walStack(10+i, 3, 6, 5)
+		client, key := string(rune('a'+i)), ""
+		if i%2 == 1 {
+			key = "key" + client
+		}
+		seq, err := w.Append(client, key, StackDigest(s), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := w.Commit(seq); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		keep = append(keep, want{seq, client, key, s})
+	}
+	check := func(entries []*WALEntry) {
+		t.Helper()
+		if len(entries) != len(keep) {
+			t.Fatalf("replayed %d entries, want %d", len(entries), len(keep))
+		}
+		for i, e := range entries {
+			k := keep[i]
+			if e.Seq != k.seq || e.Client != k.client || e.Key != k.key || e.Digest != StackDigest(k.stack) {
+				t.Fatalf("entry %d = seq %d %q/%q %v, want seq %d %q/%q %v",
+					i, e.Seq, e.Client, e.Key, e.Digest, k.seq, k.client, k.key, StackDigest(k.stack))
+			}
+			samePixels(t, k.stack, e.Stack)
+		}
+	}
+
+	if err := os.WriteFile(path, []byte("not a log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w2, entries, rep, err := OpenWAL(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Committed != 0 || rep.Corrupt != 0 || rep.Truncated {
+		t.Fatalf("compacted log report %+v, want only pending entries", rep)
+	}
+	check(entries)
+
+	// Recovered entries are pending too: clobber and compact again.
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	w3, entries, _, err := OpenWAL(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	check(entries)
+}
+
+// BenchmarkWALAppendCommit is the store rung of the serve ladder: one
+// 128×128×16 baseline appended and committed, as the durable ingest path
+// does for every fresh upload. Every 128th commit compacts the log.
+func BenchmarkWALAppendCommit(b *testing.B) {
+	s := walStack(1, 16, 128, 128)
+	dig := StackDigest(s)
+	for _, sync := range []bool{false, true} {
+		name := "sync=off"
+		if sync {
+			name = "sync=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			w, _, _, err := OpenWAL(b.TempDir(), WALOptions{Sync: sync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			b.SetBytes(int64(s.Len() * s.Width() * s.Height() * 2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq, err := w.Append("bench", "", dig, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Commit(seq); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
